@@ -1,5 +1,5 @@
-//! Deterministic mid-run engine checkpoints: serialize a paused
-//! [`EngineCore`] so a later process can resume it **bitwise** — same
+//! Deterministic mid-run engine checkpoints: serialize a paused one-shard
+//! run so a later process can resume it **bitwise** — same
 //! remaining trace events, same final metrics, same artifacts.
 //!
 //! A checkpoint file is line-oriented: an [`ArtifactMeta`] header
@@ -34,10 +34,11 @@ use gcube_topology::{LinkId, NodeId, Topology};
 
 use crate::artifact::{ArtifactKind, ArtifactMeta, ARTIFACT_FORMAT};
 use crate::config::SimConfig;
-use crate::engine::{EngineCore, Simulator};
+use crate::engine::Simulator;
 use crate::injection::{FaultAction, FaultEvent, FaultKind, FaultTarget, PendingOp};
 use crate::metrics::{Histogram, Metrics, OpStat, WindowStat, HIST_BUCKETS, MAX_TREES};
 use crate::proto::{self, parse_json, JsonValue};
+use crate::shard::Coordinator;
 use crate::soa::{LinkTable, NodeQueues, PacketStore, NIL};
 use crate::telemetry::{FaultBudgetMonitor, NullTelemetry};
 use crate::trace::NullSink;
@@ -344,9 +345,10 @@ impl Checkpoint {
     /// strategies without a wire identity (the e-cube baseline).
     pub(crate) fn capture(
         sim: &Simulator,
-        core: &EngineCore,
+        core: &Coordinator,
         trace_mark: u64,
     ) -> Result<Checkpoint, String> {
+        let shard = &core.shard;
         let (strategy, trees) = sim.algorithm().wire_spec().ok_or_else(|| {
             format!(
                 "strategy {:?} has no wire identity and cannot be checkpointed",
@@ -355,9 +357,9 @@ impl Checkpoint {
         })?;
 
         // Live packets: every arena slot not on the freelist.
-        let arena = core.store.id.len();
+        let arena = shard.store.id.len();
         let mut is_free = vec![false; arena];
-        for &s in &core.store.free {
+        for &s in &shard.store.free {
             is_free[s as usize] = true;
         }
         let mut live = Vec::with_capacity(core.in_flight as usize);
@@ -365,17 +367,17 @@ impl Checkpoint {
             if *free {
                 continue;
             }
-            let route = core.store.routes[slot]
+            let route = shard.store.routes[slot]
                 .as_ref()
                 .ok_or_else(|| format!("live packet in slot {slot} has no route"))?;
             live.push(LivePacket {
                 slot: slot as u32,
-                id: core.store.id[slot],
-                injected_at: core.store.injected_at[slot],
-                hop_idx: core.store.hop_idx[slot],
-                hops_taken: core.store.hops_taken[slot],
-                planned_hops: core.store.planned_hops[slot],
-                reroutes: core.store.reroutes[slot],
+                id: shard.store.id[slot],
+                injected_at: shard.store.injected_at[slot],
+                hop_idx: shard.store.hop_idx[slot],
+                hops_taken: shard.store.hops_taken[slot],
+                planned_hops: shard.store.planned_hops[slot],
+                reroutes: shard.store.reroutes[slot],
                 route: route.nodes().iter().map(|v| v.0).collect(),
             });
         }
@@ -384,15 +386,15 @@ impl Checkpoint {
         let n_nodes = sim.cube().num_nodes();
         let mut queues = Vec::new();
         for v in 0..n_nodes as usize {
-            let len = core.queues.len(v);
+            let len = shard.queues.len(v);
             if len == 0 {
                 continue;
             }
             let mut slots = Vec::with_capacity(len);
-            let mut s = core.queues.front(v).expect("non-empty queue has a front");
+            let mut s = shard.queues.front(v).expect("non-empty queue has a front");
             loop {
                 slots.push(s);
-                match core.store.next[s as usize] {
+                match shard.store.next[s as usize] {
                     NIL => break,
                     nxt => s = nxt,
                 }
@@ -404,7 +406,7 @@ impl Checkpoint {
         }
 
         let mut pending = Vec::new();
-        for (&cycle, ops) in core.injector.pending() {
+        for (&cycle, ops) in shard.injector.pending() {
             for op in ops {
                 pending.push((cycle, op.action, op.target, op.kind));
             }
@@ -420,25 +422,25 @@ impl Checkpoint {
             ended_at: core.ended_at,
             next_id: core.next_id,
             in_flight: core.in_flight,
-            converge_at: core.converge_at,
-            synced: core.synced,
+            converge_at: shard.converge_at,
+            synced: shard.synced,
             traffic_rng: core.traffic.rng_state(),
-            injector_rng: core.injector.rng_state(),
+            injector_rng: shard.injector.rng_state(),
             monitor_state: core.monitor.state(),
             monitor_downgraded: core.monitor.downgraded(),
-            truth: FaultsRepr::capture(&core.truth),
-            view: FaultsRepr::capture(&core.view),
+            truth: FaultsRepr::capture(&shard.truth),
+            view: FaultsRepr::capture(&shard.view),
             pending,
-            fault_trace: core.injector.trace().to_vec(),
-            metrics: core.metrics,
-            windows: core.windows.clone(),
+            fault_trace: shard.injector.trace().to_vec(),
+            metrics: shard.metrics,
+            windows: shard.windows.clone(),
             arena,
-            free: core.store.free.clone(),
+            free: shard.store.free.clone(),
             live,
             queues,
             ledger: core.repair_ledger.last().to_vec(),
-            ops: core.op_tracker.ops().to_vec(),
-            tree_cache: core
+            ops: shard.op_tracker.ops().to_vec(),
+            tree_cache: shard
                 .collective
                 .as_ref()
                 .map(|cp| {
@@ -950,7 +952,7 @@ impl Checkpoint {
     /// constructed from [`Checkpoint::config`] and a strategy matching
     /// [`Checkpoint::strategy`] / [`Checkpoint::trees`] — derived state
     /// (cube, link table, plan caches) is rebuilt from it.
-    pub(crate) fn rebuild(&self, sim: &Simulator) -> Result<EngineCore, String> {
+    pub(crate) fn rebuild(&self, sim: &Simulator) -> Result<Coordinator, String> {
         if sim.config() != &self.config {
             return Err("simulator config differs from the checkpoint's".into());
         }
@@ -967,14 +969,15 @@ impl Checkpoint {
 
         // Null sinks on purpose: the cycle-0 health event was already
         // emitted by the original run (it sits before the trace mark).
-        let mut core = EngineCore::new(sim, &mut NullSink, &mut NullTelemetry);
+        let mut core = Coordinator::new(sim, 1, &mut NullSink, &mut NullTelemetry);
         core.cycle = self.cycle;
         core.done = self.done;
         core.ended_at = self.ended_at;
         core.next_id = self.next_id;
         core.in_flight = self.in_flight;
-        core.converge_at = self.converge_at;
-        core.synced = self.synced;
+        let shard = &mut core.shard;
+        shard.converge_at = self.converge_at;
+        shard.synced = self.synced;
 
         core.traffic.restore_rng(self.traffic_rng);
         let mut pending: BTreeMap<u64, Vec<PendingOp>> = BTreeMap::new();
@@ -985,7 +988,8 @@ impl Checkpoint {
                 kind,
             });
         }
-        core.injector
+        shard
+            .injector
             .restore(self.injector_rng, pending, self.fault_trace.clone());
         core.monitor = FaultBudgetMonitor::from_parts(
             self.monitor_state,
@@ -993,13 +997,13 @@ impl Checkpoint {
             self.monitor_downgraded,
         );
 
-        core.truth = self.truth.rebuild();
-        core.view = self.view.rebuild();
-        core.links = LinkTable::new(n_nodes, sim.cube().n());
-        core.links.sync(&core.truth);
+        shard.truth = self.truth.rebuild();
+        shard.view = self.view.rebuild();
+        shard.links = LinkTable::new(n_nodes, sim.cube().n());
+        shard.links.sync(&shard.truth);
 
-        core.metrics = self.metrics;
-        core.windows = self.windows.clone();
+        shard.metrics = self.metrics;
+        shard.windows = self.windows.clone();
 
         // Packet arena: default-fill every column to the captured length
         // (freed slots hold junk in the original too — allocation
@@ -1039,18 +1043,18 @@ impl Checkpoint {
             for &slot in slots {
                 queues.push_back(&mut store, v, slot);
             }
-            core.class_queued[v & core.cmask] += slots.len() as u64;
-            core.class_occupied[v & core.cmask] += 1;
+            shard.class_queued[v & shard.cmask] += slots.len() as u64;
+            shard.class_occupied[v & shard.cmask] += 1;
         }
-        core.store = store;
-        core.queues = queues;
+        shard.store = store;
+        shard.queues = queues;
 
         core.repair_ledger = crate::collective::RepairLedger::from_last(self.ledger.clone());
-        core.op_tracker = crate::collective::OpTracker::from_ops(self.ops.clone());
+        shard.op_tracker = crate::collective::OpTracker::from_ops(self.ops.clone());
         // Re-seed the collective tree cache: a regraft diffs against the
         // cached previous tree, so both the next repair outcome and the
         // patched tree's shape depend on this history.
-        if let Some(cp) = &core.collective {
+        if let Some(cp) = &shard.collective {
             for t in &self.tree_cache {
                 cp.cache().restore_tree(t.rebuild()?);
             }
@@ -1096,25 +1100,31 @@ mod tests {
         let sim = Simulator::try_new(cfg.clone(), &*algo).unwrap();
 
         let mut sink = MemorySink::default();
-        let mut core = EngineCore::new(&sim, &mut sink, &mut NullTelemetry);
+        let mut core = Coordinator::new(&sim, 1, &mut sink, &mut NullTelemetry);
         while core.cycle < pause
-            && !core.step(&sim, &mut sink, &mut NullTelemetry, &mut NullProfiler)
+            && !core.step(&sim, None, &mut sink, &mut NullTelemetry, &mut NullProfiler)
         {}
         let ck = Checkpoint::capture(&sim, &core, sink.events().len() as u64).unwrap();
         let back = Checkpoint::from_text(&ck.to_text()).unwrap();
         assert_eq!(back, ck, "text form must round-trip");
 
         // Finish the original run untouched.
-        while !core.step(&sim, &mut sink, &mut NullTelemetry, &mut NullProfiler) {}
-        let full = core.finish(&sim, &mut NullTelemetry, &mut NullProfiler);
+        while !core.step(&sim, None, &mut sink, &mut NullTelemetry, &mut NullProfiler) {}
+        let full = core.finish(&sim, None, &mut NullTelemetry, &mut NullProfiler);
 
         // Resume from the parsed checkpoint in a fresh simulator.
         let algo2 = build_strategy(back.strategy(), back.trees()).unwrap();
         let sim2 = Simulator::try_new(back.config().clone(), &*algo2).unwrap();
         let mut sink2 = MemorySink::default();
         let mut core2 = back.rebuild(&sim2).unwrap();
-        while !core2.step(&sim2, &mut sink2, &mut NullTelemetry, &mut NullProfiler) {}
-        let resumed = core2.finish(&sim2, &mut NullTelemetry, &mut NullProfiler);
+        while !core2.step(
+            &sim2,
+            None,
+            &mut sink2,
+            &mut NullTelemetry,
+            &mut NullProfiler,
+        ) {}
+        let resumed = core2.finish(&sim2, None, &mut NullTelemetry, &mut NullProfiler);
 
         let mark = back.trace_mark() as usize;
         assert_eq!(
@@ -1164,7 +1174,7 @@ mod tests {
         let cfg = churn_config();
         let algo = build_strategy("ftgcr", 0).unwrap();
         let sim = Simulator::try_new(cfg.clone(), &*algo).unwrap();
-        let core = EngineCore::new(&sim, &mut NullSink, &mut NullTelemetry);
+        let core = Coordinator::new(&sim, 1, &mut NullSink, &mut NullTelemetry);
         let ck = Checkpoint::capture(&sim, &core, 0).unwrap();
 
         let other_cfg = cfg.clone().with_seed(1);
@@ -1187,7 +1197,7 @@ mod tests {
         let cfg = SimConfig::new(6, 2);
         let algo = build_strategy("ffgcr", 0).unwrap();
         let sim = Simulator::try_new(cfg, &*algo).unwrap();
-        let core = EngineCore::new(&sim, &mut NullSink, &mut NullTelemetry);
+        let core = Coordinator::new(&sim, 1, &mut NullSink, &mut NullTelemetry);
         let ck = Checkpoint::capture(&sim, &core, 0).unwrap();
         let text = ck.to_text();
 
@@ -1205,7 +1215,7 @@ mod tests {
     fn ecube_cannot_be_checkpointed() {
         let algo = crate::strategy::EcubeBaseline;
         let sim = Simulator::try_new(SimConfig::new(4, 4), &algo).unwrap();
-        let core = EngineCore::new(&sim, &mut NullSink, &mut NullTelemetry);
+        let core = Coordinator::new(&sim, 1, &mut NullSink, &mut NullTelemetry);
         let err = Checkpoint::capture(&sim, &core, 0).unwrap_err();
         assert!(err.contains("wire identity"), "{err}");
     }

@@ -1,4 +1,5 @@
-//! The cycle-driven simulation engine.
+//! The simulator: one `GC(n, M)` instance, its configuration, and the
+//! cycle model every run executes.
 //!
 //! Store-and-forward with FIFO queues: each cycle, every node may forward
 //! the head of its queue onto the requested output link; each *directed*
@@ -11,15 +12,16 @@
 //! switches to backpressure: packets move only into queues with room and
 //! full sources refuse injections. That mode exists to *demonstrate* the
 //! assumption's importance: tight buffers genuinely deadlock under load
-//! (see `finite_buffers_apply_backpressure_and_can_deadlock`).
+//! (see `finite_buffers_apply_backpressure_and_can_deadlock`). It runs on
+//! one shard only.
 //!
 //! # Dynamic faults and online recovery
 //!
-//! With a [`FaultSchedule`], the network changes *while packets are in
-//! flight*. The engine then tracks two fault sets:
+//! With a [`crate::injection::FaultSchedule`], the network changes
+//! *while packets are in flight*. The engine then tracks two fault sets:
 //!
 //! - the **truth** — what is actually broken, mutated by the
-//!   [`FaultInjector`] before each cycle;
+//!   [`crate::injection::FaultInjector`] before each cycle;
 //! - the **view** — what routing decisions see. Under
 //!   [`KnowledgeModel::Oracle`] the two coincide; otherwise the view lags
 //!   each fault event by the paper's claim-4 exchange bound
@@ -35,39 +37,24 @@
 //! exhausted, when no recovery route exists, or when the node buffering
 //! them dies.
 //!
-//! # The steppable core
+//! # One kernel, two schedules
 //!
-//! The sequential loop lives in [`EngineCore`]: all of a run's mutable
-//! state in one struct, advanced one cycle at a time by
-//! [`EngineCore::step`]. [`Simulator::run_sequential`] is now just
-//! `new + step-until-done + finish`, bit-identical to the old monolithic
-//! loop. The split exists for the daemon ([`crate::server`]): a stepped
-//! core can be parked between requests, checkpointed mid-run
-//! ([`crate::checkpoint`]), and resumed bitwise.
+//! The per-cycle phases are implemented once, over a node range of the
+//! structure-of-arrays state ([`crate::shard`]). A run with one thread —
+//! and every stepper, checkpoint, and daemon session — is the one-shard
+//! schedule: no exchange, no barrier, no thread. `threads(n)` runs the
+//! same kernel on up to `2^α` shards in barriered rounds, with bitwise
+//! identical output.
 
-use std::mem;
-use std::sync::Arc;
-use std::time::Instant;
-
-use gcube_routing::faults::fault_budget;
 use gcube_routing::knowledge::exchange_rounds;
-use gcube_routing::plan_cache::PlanCache;
 use gcube_routing::FaultSet;
-use gcube_topology::{GaussianCube, LinkId, NodeId, Topology};
+use gcube_topology::GaussianCube;
 
-use crate::collective::{is_collective, CollectivePlanner, OpTracker, RepairLedger};
 use crate::config::{KnowledgeModel, SimConfig};
 use crate::error::SimError;
-use crate::injection::FaultInjector;
-use crate::metrics::{ChurnReport, Metrics, WindowStat, MAX_TREES};
-use crate::packet::Packet;
-use crate::profiler::{ProfSample, ProfilerSink};
 use crate::session::SimSession;
-use crate::soa::{LinkTable, NodeQueues, PacketStore};
-use crate::strategy::{RoutingAlgorithm, TreeChoice};
-use crate::telemetry::{CycleView, FaultBudgetMonitor, Phase, TelemetrySink};
-use crate::trace::{DropCause, TraceEvent, TraceEventKind, TraceSink, NETWORK_EVENT_PACKET};
-use crate::traffic::{place_node_faults, TrafficGen};
+use crate::strategy::RoutingAlgorithm;
+use crate::traffic::place_node_faults;
 
 /// A deterministic cycle-driven simulator for one `GC(n, M)` instance.
 pub struct Simulator<'a> {
@@ -158,1041 +145,6 @@ impl<'a> Simulator<'a> {
     pub fn session(&self) -> SimSession<'_, 'a> {
         SimSession::new(self)
     }
-
-    /// The sequential cycle loop — the reference semantics. The session
-    /// builder dispatches here for single-threaded runs; the sharded
-    /// engine ([`crate::shard`]) reproduces this loop's output bit for
-    /// bit. `NullSink`/`NullTelemetry` monomorphisations contain no
-    /// tracing or telemetry code at all, and the hot path performs no
-    /// per-cycle allocations. Trace events, metrics, and windows are
-    /// identical across all sink combinations — observers never steer.
-    pub(crate) fn run_sequential<S: TraceSink, T: TelemetrySink, P: ProfilerSink>(
-        &self,
-        sink: &mut S,
-        telem: &mut T,
-        prof: &mut P,
-    ) -> ChurnReport {
-        let mut core = EngineCore::new(self, sink, telem);
-        while !core.step(self, sink, telem, prof) {}
-        core.finish(self, telem, prof)
-    }
-
-    /// Handle the head packet of node `v` whose next hop just proved dead.
-    ///
-    /// Publishes the observed failure into the view (and a stale-view
-    /// exposure event into the trace — the packet was planned against
-    /// knowledge that missed this fault), then either replans the packet
-    /// in place (returning `None`) or pops and returns it with the drop
-    /// cause.
-    #[allow(clippy::too_many_arguments)]
-    fn recover<S: TraceSink, T: TelemetrySink>(
-        &self,
-        store: &mut PacketStore,
-        queues: &mut NodeQueues,
-        v: usize,
-        view: &mut FaultSet,
-        links: &LinkTable,
-        link: LinkId,
-        to: NodeId,
-        cycle: u64,
-        metrics: &mut Metrics,
-        window: &mut WindowStat,
-        sink: &mut S,
-        telem: &mut T,
-    ) -> Option<(Packet, DropCause)> {
-        // Local discovery: the blocked node learns exactly which component
-        // failed and that knowledge enters the routing view at once.
-        if links.node_faulty(to.0) {
-            view.add_node(to);
-        } else {
-            view.add_link(link);
-        }
-        let head = queues
-            .front(v)
-            .expect("recover is called on a non-empty queue");
-        telem.stale_view();
-        if sink.enabled() {
-            sink.record(&TraceEvent {
-                cycle,
-                packet: store.id[head as usize],
-                node: store.current(head),
-                kind: TraceEventKind::StaleView { blocked: to },
-            });
-        }
-        if u64::from(store.hops_taken[head as usize]) >= self.config.effective_ttl() {
-            let slot = queues.pop_front(store, v);
-            return Some((store.remove(slot), DropCause::TtlExpired));
-        }
-        if store.reroutes[head as usize] >= self.config.reroute_budget {
-            let slot = queues.pop_front(store, v);
-            return Some((store.remove(slot), DropCause::Unrecoverable));
-        }
-        let from = store.current(head);
-        let dest = *store
-            .route(head)
-            .nodes()
-            .last()
-            .expect("routes are non-empty");
-        match self.algorithm.plan_route(&self.gc, view, from, dest) {
-            Ok(planned) => {
-                let tree = planned.tree;
-                store.replan(head, planned.route);
-                telem.reroute();
-                if sink.enabled() {
-                    sink.record(&TraceEvent {
-                        cycle,
-                        packet: store.id[head as usize],
-                        node: from,
-                        kind: TraceEventKind::Reroute {
-                            budget_left: self.config.reroute_budget - store.reroutes[head as usize],
-                        },
-                    });
-                }
-                if let Some(tc) = tree {
-                    let id = store.id[head as usize];
-                    account_tree_choice(metrics, window, &mut *telem, tc);
-                    if sink.enabled() && (tc.switches > 0 || tc.exhausted) {
-                        sink.record(&TraceEvent {
-                            cycle,
-                            packet: id,
-                            node: from,
-                            kind: TraceEventKind::TreeSwitch {
-                                tree: tc.tree,
-                                switches: tc.switches,
-                                exhausted: tc.exhausted,
-                            },
-                        });
-                    }
-                }
-                None
-            }
-            Err(_) => {
-                let slot = queues.pop_front(store, v);
-                Some((store.remove(slot), DropCause::Unrecoverable))
-            }
-        }
-    }
-}
-
-/// All mutable state of one sequential run, advanced cycle by cycle.
-///
-/// Everything the old monolithic loop kept in locals lives here, so a run
-/// can be suspended between cycles (the daemon parks sessions this way)
-/// and serialized mid-run ([`crate::checkpoint`]). Field order follows
-/// the loop's initialisation order; all fields are `pub(crate)` because
-/// checkpointing is a whole-state concern.
-pub(crate) struct EngineCore {
-    pub(crate) store: PacketStore,
-    pub(crate) queues: NodeQueues,
-    pub(crate) traffic: TrafficGen,
-    pub(crate) metrics: Metrics,
-    pub(crate) next_id: u64,
-    pub(crate) total_cycles: u64,
-    pub(crate) warmup: u64,
-    pub(crate) in_flight: u64,
-    pub(crate) ttl: u64,
-    pub(crate) window: u64,
-    pub(crate) windows: Vec<WindowStat>,
-    pub(crate) truth: FaultSet,
-    pub(crate) view: FaultSet,
-    pub(crate) synced: (u64, u64),
-    pub(crate) injector: FaultInjector,
-    pub(crate) dynamic: bool,
-    pub(crate) converge_at: Option<u64>,
-    pub(crate) links: LinkTable,
-    pub(crate) monitor: FaultBudgetMonitor,
-    pub(crate) collective: Option<CollectivePlanner>,
-    pub(crate) repair_ledger: RepairLedger,
-    pub(crate) op_tracker: OpTracker,
-    pub(crate) moves: Vec<u32>,
-    pub(crate) scan: Vec<u32>,
-    pub(crate) cmask: usize,
-    pub(crate) class_queued: Vec<u64>,
-    pub(crate) class_occupied: Vec<u64>,
-    pub(crate) arriving: Vec<u32>,
-    pub(crate) arrival_nodes: Vec<usize>,
-    pub(crate) capacity: Option<usize>,
-    /// The next cycle [`EngineCore::step`] will execute.
-    pub(crate) cycle: u64,
-    pub(crate) ended_at: u64,
-    pub(crate) done: bool,
-}
-
-impl EngineCore {
-    /// Initialise a run: cycle-zero state, including the initial
-    /// fault-budget classification (trace event and counter) for runs
-    /// that start faulty. Checkpoint restore must *not* call this with a
-    /// live sink — the cycle-0 health event would be re-emitted.
-    pub(crate) fn new<S: TraceSink, T: TelemetrySink>(
-        sim: &Simulator,
-        sink: &mut S,
-        telem: &mut T,
-    ) -> EngineCore {
-        let n_nodes = sim.gc.num_nodes();
-        // Structure-of-arrays packet state (see `crate::soa`): an arena of
-        // packet fields plus intrusive per-node FIFO queues and an
-        // occupancy bitset, so the forwarding scan only visits nodes that
-        // actually hold packets.
-        let store = PacketStore::new();
-        let queues = NodeQueues::new(n_nodes);
-        let traffic = TrafficGen::with_pattern(
-            sim.config.seed,
-            sim.config.injection_rate,
-            sim.config.pattern,
-        );
-        let capacity = sim.config.buffer_capacity;
-        let mut metrics = Metrics {
-            nodes: n_nodes,
-            ..Metrics::default()
-        };
-        let total_cycles = sim.config.inject_cycles + sim.config.drain_cycles;
-        let warmup = sim.config.warmup_cycles.min(sim.config.inject_cycles);
-        let ttl = sim.config.effective_ttl();
-        let window = sim.config.window.max(1);
-
-        // Ground truth vs. routing view (see module docs). With no
-        // schedule and an oracle view these stay identical to the static
-        // fault set, and the run is bit-for-bit the seed engine's.
-        let truth = sim.faults.clone();
-        let view = sim.faults.clone();
-        // Generation stamps of (truth, view) at the last sync: when neither
-        // set changed since, reconvergence skips the copy entirely.
-        let synced = (truth.generation(), view.generation());
-        let injector = FaultInjector::new(&sim.gc, sim.config.schedule.clone(), sim.config.seed);
-        let dynamic = !sim.config.schedule.is_none();
-        // Bitset mirror of the truth: dead-node word probes for the
-        // injection loop, dead-link word probes for the forwarding scan.
-        // Resynced only when the truth's generation stamp moves.
-        let mut links = LinkTable::new(n_nodes, sim.gc.n());
-        links.sync(&truth);
-
-        // The Theorem-3 fault-budget monitor runs whether or not
-        // telemetry is attached: health transitions are trace events and
-        // metric counters, so replay verification covers them. A run that
-        // starts faulty reports its initial classification at cycle 0.
-        let mut monitor = FaultBudgetMonitor::for_strategy(sim.algorithm.survives_bound_exceeded());
-        if let Some((from, to)) = monitor.update(&sim.gc, &truth) {
-            metrics.health_transitions += 1;
-            telem.health_transition(0, from, to);
-            if sink.enabled() {
-                sink.record(&TraceEvent {
-                    cycle: 0,
-                    packet: NETWORK_EVENT_PACKET,
-                    node: NodeId(0),
-                    kind: TraceEventKind::Health {
-                        state: to,
-                        faults: truth.len() as u64,
-                    },
-                });
-            }
-        }
-
-        // The collective traffic class: a planner over a dedicated tree
-        // cache, a repair ledger that accounts each tree transition once,
-        // and the per-operation completion records.
-        let collective = sim.config.collective.map(|op| {
-            CollectivePlanner::new(
-                op,
-                sim.config.collective_interval,
-                sim.config.seed,
-                Arc::new(PlanCache::new(&sim.gc)),
-            )
-        });
-        let repair_ledger = RepairLedger::new(1 << sim.gc.alpha());
-        let op_tracker = OpTracker::new();
-
-        // Reusable per-cycle scratch, allocated once for the whole run:
-        // the forwarding hot path is allocation-free. `moves` holds the
-        // arena slots that advanced this cycle; `scan` snapshots the
-        // occupied nodes in service order (safe: the scan pops only at the
-        // visited node and buffers every push until the drain, so the
-        // snapshot equals the live occupancy).
-        // Per-ending-class queue aggregates, maintained incrementally on
-        // every push/pop so telemetry sampling is O(classes), not
-        // O(nodes): packets queued per class, and nodes per class with a
-        // non-empty queue.
-        let cmask = (1usize << sim.gc.alpha()) - 1;
-        // Backpressure scratch: arrivals granted this cycle per node, with
-        // a touched-list so resetting costs O(arrivals), not O(nodes).
-        // Only materialised when finite buffers are on — at GC(20) the
-        // dense array would cost 4 MiB for a mode that cannot engage.
-        let arriving: Vec<u32> = if capacity.is_some() {
-            vec![0; n_nodes as usize]
-        } else {
-            Vec::new()
-        };
-
-        EngineCore {
-            store,
-            queues,
-            traffic,
-            metrics,
-            next_id: 0,
-            total_cycles,
-            warmup,
-            in_flight: 0,
-            ttl,
-            window,
-            windows: Vec::new(),
-            truth,
-            view,
-            synced,
-            injector,
-            dynamic,
-            converge_at: None,
-            links,
-            monitor,
-            collective,
-            repair_ledger,
-            op_tracker,
-            moves: Vec::new(),
-            scan: Vec::new(),
-            cmask,
-            class_queued: vec![0; cmask + 1],
-            class_occupied: vec![0; cmask + 1],
-            arriving,
-            arrival_nodes: Vec::new(),
-            capacity,
-            cycle: 0,
-            ended_at: total_cycles,
-            done: false,
-        }
-    }
-
-    /// Whether the run has executed its last cycle.
-    pub(crate) fn is_done(&self) -> bool {
-        self.done
-    }
-
-    /// Execute one cycle. Returns `true` once the run is complete (all
-    /// cycles executed, or injection over and the network drained); calling
-    /// again after that is a no-op returning `true`.
-    pub(crate) fn step<S: TraceSink, T: TelemetrySink, P: ProfilerSink>(
-        &mut self,
-        sim: &Simulator,
-        sink: &mut S,
-        telem: &mut T,
-        prof: &mut P,
-    ) -> bool {
-        if self.done || self.cycle >= self.total_cycles {
-            self.done = true;
-            return true;
-        }
-        let n_nodes = sim.gc.num_nodes();
-        // Phase profiling is wall-clock and report-only; the timers exist
-        // when either a telemetry sink or a profiler is attached, so
-        // `--profile` works without `--telemetry`.
-        let profiling = telem.enabled() || prof.enabled();
-        let cycle = self.cycle;
-        let cmask = self.cmask;
-        let measuring = cycle >= self.warmup;
-        let widx = (cycle / self.window) as usize;
-        if self.windows.len() <= widx {
-            self.windows.push(WindowStat {
-                start: widx as u64 * self.window,
-                end: (widx as u64 + 1) * self.window,
-                ..WindowStat::default()
-            });
-        }
-
-        // Per-cycle deterministic profiler counters; the guarded
-        // increments monomorphise away with `NullProfiler`.
-        let mut cycle_injected = 0u64;
-
-        // 0. Fault events: mutate the truth, strand queued packets on
-        //    dead nodes, restart the knowledge exchange.
-        let phase_started = profiling.then(Instant::now);
-        if self.dynamic {
-            let applied = self.injector.step(cycle, &mut self.truth);
-            if applied > 0 {
-                self.metrics.fault_events += applied as u64;
-                telem.fault_events(applied as u64);
-                // Re-classify against the Theorem 3 budget only when
-                // the fault set actually changed.
-                if let Some((from, to)) = self.monitor.update(&sim.gc, &self.truth) {
-                    self.metrics.health_transitions += 1;
-                    telem.health_transition(cycle, from, to);
-                    if sink.enabled() {
-                        sink.record(&TraceEvent {
-                            cycle,
-                            packet: NETWORK_EVENT_PACKET,
-                            node: NodeId(0),
-                            kind: TraceEventKind::Health {
-                                state: to,
-                                faults: self.truth.len() as u64,
-                            },
-                        });
-                    }
-                }
-                self.links.sync(&self.truth);
-                self.queues.collect_occupied(&mut self.scan);
-                for &vq in &self.scan {
-                    let v = vq as usize;
-                    if !self.links.node_faulty(vq as u64) {
-                        continue;
-                    }
-                    self.class_queued[v & cmask] -= self.queues.len(v) as u64;
-                    self.class_occupied[v & cmask] -= 1;
-                    while !self.queues.is_empty(v) {
-                        let slot = self.queues.pop_front(&mut self.store, v);
-                        let pkt = self.store.remove(slot);
-                        self.in_flight -= 1;
-                        count_drop(
-                            &mut self.metrics,
-                            &mut self.windows[widx],
-                            &mut self.op_tracker,
-                            &pkt,
-                            DropCause::Stranded,
-                            measuring,
-                            self.warmup,
-                            cycle,
-                            NodeId(v as u64),
-                            sink,
-                            telem,
-                        );
-                    }
-                }
-                let delay = sim.knowledge_delay(&self.truth);
-                if delay == 0 {
-                    sync_view(&mut self.view, &self.truth, &mut self.synced);
-                } else {
-                    // A new event during an ongoing exchange restarts
-                    // it: convergence is measured from the last change.
-                    self.converge_at = Some(cycle + delay);
-                }
-            }
-            if let Some(t) = self.converge_at {
-                if cycle >= t {
-                    sync_view(&mut self.view, &self.truth, &mut self.synced);
-                    self.converge_at = None;
-                    self.metrics.reconvergences += 1;
-                    telem.reconvergence();
-                } else {
-                    self.metrics.stale_cycles += 1;
-                    telem.stale_cycle();
-                }
-            }
-        }
-        if let Some(t) = phase_started {
-            let nanos = t.elapsed().as_nanos() as u64;
-            telem.phase_time(Phase::Reconvergence, nanos);
-            prof.phase_time(Phase::Reconvergence, nanos);
-        }
-
-        // 1. Injection phase. Sources route on the *view*: right
-        //    after a fault event they may plan through a dead
-        //    component and only find out en route.
-        let phase_started = profiling.then(Instant::now);
-
-        // 1a. Collective launch: before unicast injection, so the
-        //     per-node queue order (collective wave first) matches
-        //     the sharded engine exactly. The plan routes on the
-        //     view; sources are filtered by the ground truth (a dead
-        //     node cannot transmit, whatever the view believes).
-        if let Some(cp) = &self.collective {
-            if let Some(op_index) = cp.due(cycle, sim.config.inject_cycles) {
-                let links = &self.links;
-                let plan = cp.plan(
-                    &sim.gc,
-                    &self.view,
-                    self.view.generation(),
-                    |v: NodeId| links.node_faulty(v.0),
-                    op_index,
-                );
-                match plan {
-                    Some(plan) => {
-                        if let Some(rep) = self.repair_ledger.note(&plan) {
-                            if rep.rebuilt {
-                                self.metrics.tree_rebuilds += 1;
-                            } else {
-                                self.metrics.tree_regrafts += 1;
-                            }
-                            self.metrics.tree_lost_nodes += rep.lost_nodes;
-                            telem.tree_repair(rep.rebuilt);
-                            if sink.enabled() {
-                                sink.record(&TraceEvent {
-                                    cycle,
-                                    packet: NETWORK_EVENT_PACKET,
-                                    node: plan.root,
-                                    kind: TraceEventKind::TreeRepair {
-                                        regrafted: rep.regrafted_subtrees,
-                                        reattached: rep.reattached_nodes,
-                                        lost: rep.lost_nodes,
-                                        rebuilt: rep.rebuilt,
-                                    },
-                                });
-                            }
-                        }
-                        self.metrics.collective_ops += 1;
-                        self.op_tracker.begin(&plan, cycle);
-                        for pkt in plan.packets {
-                            self.metrics.injected_total += 1;
-                            self.metrics.collective_injected += 1;
-                            telem.inject();
-                            self.windows[widx].injected += 1;
-                            if sink.enabled() {
-                                sink.record(&TraceEvent {
-                                    cycle,
-                                    packet: pkt.id,
-                                    node: pkt.src,
-                                    kind: TraceEventKind::Inject {
-                                        dst: pkt.route.dest(),
-                                        planned_hops: pkt.route.hops() as u64,
-                                    },
-                                });
-                            }
-                            self.in_flight += 1;
-                            let vu = pkt.src.0 as usize;
-                            let slot = self.store.alloc(pkt.id, cycle, pkt.route);
-                            if self.queues.is_empty(vu) {
-                                self.class_occupied[vu & cmask] += 1;
-                            }
-                            self.class_queued[vu & cmask] += 1;
-                            self.queues.push_back(&mut self.store, vu, slot);
-                        }
-                    }
-                    None => self.metrics.collective_skipped += 1,
-                }
-            }
-        }
-
-        if cycle < sim.config.inject_cycles {
-            for v in 0..n_nodes {
-                let src = NodeId(v);
-                if self.links.node_faulty(v) || !self.traffic.fires() {
-                    continue;
-                }
-                if let Some(cap) = self.capacity {
-                    if self.queues.len(v as usize) >= cap {
-                        // Backpressure: the source buffer is full.
-                        if measuring {
-                            self.metrics.blocked_injections += 1;
-                        }
-                        continue;
-                    }
-                }
-                let Some(dst) = self.traffic.pick_dest(&sim.gc, &self.view, src) else {
-                    // The offered load just shrank by one packet —
-                    // count it instead of silently skewing throughput
-                    // comparisons (permutation partner faulty/self, or
-                    // no healthy destination at all).
-                    self.metrics.suppressed_injections_total += 1;
-                    if measuring {
-                        self.metrics.suppressed_injections += 1;
-                    }
-                    continue;
-                };
-                // Packet ids are assigned per injection *attempt*: a
-                // failed route consumes the id too, so ids are a pure
-                // function of the traffic stream — what lets the
-                // sharded engine preassign them before planning.
-                let id = self.next_id;
-                self.next_id += 1;
-                if prof.enabled() {
-                    cycle_injected += 1;
-                }
-                match sim.algorithm.plan_route(&sim.gc, &self.view, src, dst) {
-                    Ok(planned) => {
-                        let tree = planned.tree;
-                        let planned_hops = planned.route.hops() as u64;
-                        self.metrics.injected_total += 1;
-                        telem.inject();
-                        if measuring {
-                            self.metrics.injected += 1;
-                        }
-                        self.windows[widx].injected += 1;
-                        if sink.enabled() {
-                            sink.record(&TraceEvent {
-                                cycle,
-                                packet: id,
-                                node: src,
-                                kind: TraceEventKind::Inject { dst, planned_hops },
-                            });
-                        }
-                        if let Some(tc) = tree {
-                            account_tree_choice(
-                                &mut self.metrics,
-                                &mut self.windows[widx],
-                                &mut *telem,
-                                tc,
-                            );
-                            if sink.enabled() && (tc.switches > 0 || tc.exhausted) {
-                                sink.record(&TraceEvent {
-                                    cycle,
-                                    packet: id,
-                                    node: src,
-                                    kind: TraceEventKind::TreeSwitch {
-                                        tree: tc.tree,
-                                        switches: tc.switches,
-                                        exhausted: tc.exhausted,
-                                    },
-                                });
-                            }
-                        }
-                        if planned_hops == 0 {
-                            // src == dst cannot happen (pick_dest), but a
-                            // zero-hop route would sink immediately —
-                            // without ever touching the arena.
-                            self.metrics.delivered_total += 1;
-                            telem.deliver();
-                            if measuring {
-                                self.metrics.delivered += 1;
-                                self.metrics.latency_hist.record(0);
-                                self.metrics.hops_hist.record(0);
-                            }
-                            self.windows[widx].delivered += 1;
-                            if sink.enabled() {
-                                sink.record(&TraceEvent {
-                                    cycle,
-                                    packet: id,
-                                    node: src,
-                                    kind: TraceEventKind::Deliver {
-                                        latency: 0,
-                                        hops: 0,
-                                    },
-                                });
-                            }
-                        } else {
-                            self.in_flight += 1;
-                            let vu = v as usize;
-                            let slot = self.store.alloc(id, cycle, planned.route);
-                            if self.queues.is_empty(vu) {
-                                self.class_occupied[vu & cmask] += 1;
-                            }
-                            self.class_queued[vu & cmask] += 1;
-                            self.queues.push_back(&mut self.store, vu, slot);
-                        }
-                    }
-                    Err(_) => {
-                        self.metrics.route_failures_total += 1;
-                        if measuring {
-                            self.metrics.route_failures += 1;
-                        }
-                    }
-                }
-            }
-        }
-
-        if let Some(t) = phase_started {
-            let nanos = t.elapsed().as_nanos() as u64;
-            telem.phase_time(Phase::Planning, nanos);
-            prof.phase_time(Phase::Planning, nanos);
-        }
-
-        // 2. Forwarding phase: each node may forward its queue head.
-        //    One packet per directed link per cycle holds by
-        //    construction — a link's sending endpoint serves at most
-        //    one packet per cycle. Rotate the service order for
-        //    fairness.
-        let phase_started = profiling.then(Instant::now);
-        let offset = (cycle % n_nodes) as usize;
-        // Word-scan the occupancy bitset in rotated service order: the
-        // cost is O(words + occupied nodes), not O(nodes). The snapshot
-        // is exact — the scan pops only at the node being visited and
-        // every push is buffered in `moves` until the drain below.
-        self.queues.collect_occupied_rotated(offset, &mut self.scan);
-        for &vq in &self.scan {
-            let v = vq as usize;
-            let Some(head) = self.queues.front(v) else {
-                continue;
-            };
-            let from = self.store.current(head);
-            let Some(to) = self.store.next_hop(head) else {
-                // A recovery replan can find the packet already at its
-                // destination (the original route passed through it on
-                // the way elsewhere): sink it instead of forwarding.
-                let slot = self.queues.pop_front(&mut self.store, v);
-                let pkt = self.store.remove(slot);
-                self.class_queued[v & cmask] -= 1;
-                if self.queues.is_empty(v) {
-                    self.class_occupied[v & cmask] -= 1;
-                }
-                self.in_flight -= 1;
-                self.metrics.delivered_total += 1;
-                telem.deliver();
-                self.windows[widx].delivered += 1;
-                if is_collective(pkt.id) {
-                    self.metrics.collective_delivered += 1;
-                    self.windows[widx].collective_delivered += 1;
-                    telem.collective_deliver();
-                    self.op_tracker.deliver(pkt.id, cycle);
-                } else if measuring && pkt.injected_at >= self.warmup {
-                    self.metrics.delivered += 1;
-                    self.metrics.total_latency += cycle - pkt.injected_at;
-                    self.metrics.latency_hist.record(cycle - pkt.injected_at);
-                    self.metrics.hops_hist.record(pkt.hops_taken);
-                    self.metrics.rerouted_hops += pkt.detour_hops();
-                    if pkt.reroutes > 0 {
-                        self.metrics.rerouted_packets += 1;
-                    }
-                }
-                if sink.enabled() {
-                    sink.record(&TraceEvent {
-                        cycle,
-                        packet: pkt.id,
-                        node: pkt.current(),
-                        kind: TraceEventKind::Deliver {
-                            latency: cycle - pkt.injected_at,
-                            hops: pkt.hops_taken,
-                        },
-                    });
-                }
-                continue;
-            };
-            let dim = (from.0 ^ to.0).trailing_zeros();
-            if self.dynamic && !self.links.link_usable(from, to, dim) {
-                // The planned hop is dead: the holder observes the
-                // failure and the engine recovers or drops. Either
-                // way this packet spends the cycle here.
-                let cause = sim.recover(
-                    &mut self.store,
-                    &mut self.queues,
-                    v,
-                    &mut self.view,
-                    &self.links,
-                    LinkId::new(from, dim),
-                    to,
-                    cycle,
-                    &mut self.metrics,
-                    &mut self.windows[widx],
-                    sink,
-                    telem,
-                );
-                if let Some((pkt, cause)) = cause {
-                    self.class_queued[v & cmask] -= 1;
-                    if self.queues.is_empty(v) {
-                        self.class_occupied[v & cmask] -= 1;
-                    }
-                    self.in_flight -= 1;
-                    count_drop(
-                        &mut self.metrics,
-                        &mut self.windows[widx],
-                        &mut self.op_tracker,
-                        &pkt,
-                        cause,
-                        measuring,
-                        self.warmup,
-                        cycle,
-                        pkt.current(),
-                        sink,
-                        telem,
-                    );
-                }
-                continue;
-            }
-            // The TTL applies to static runs too: a packet out of hop
-            // budget dies here whether or not faults are in play.
-            if u64::from(self.store.hops_taken[head as usize]) >= self.ttl {
-                let slot = self.queues.pop_front(&mut self.store, v);
-                let pkt = self.store.remove(slot);
-                self.class_queued[v & cmask] -= 1;
-                if self.queues.is_empty(v) {
-                    self.class_occupied[v & cmask] -= 1;
-                }
-                self.in_flight -= 1;
-                count_drop(
-                    &mut self.metrics,
-                    &mut self.windows[widx],
-                    &mut self.op_tracker,
-                    &pkt,
-                    DropCause::TtlExpired,
-                    measuring,
-                    self.warmup,
-                    cycle,
-                    pkt.current(),
-                    sink,
-                    telem,
-                );
-                continue;
-            }
-            let sinks = self.store.hop_idx[head as usize] as usize + 2
-                == self.store.route(head).nodes().len();
-            if let Some(cap) = self.capacity {
-                // A packet sinking at its destination always fits
-                // (eager readership at the consumer); otherwise the
-                // target buffer must have room. Arrivals granted this
-                // cycle count against the room; departures free their
-                // slot next cycle — conservative store-and-forward.
-                if !sinks
-                    && self.queues.len(to.0 as usize) + self.arriving[to.0 as usize] as usize >= cap
-                {
-                    continue; // backpressure: wait for room
-                }
-                if !sinks {
-                    if self.arriving[to.0 as usize] == 0 {
-                        self.arrival_nodes.push(to.0 as usize);
-                    }
-                    self.arriving[to.0 as usize] += 1;
-                }
-            }
-            // Unconditional whole-run hop ledger: the telemetry
-            // per-dimension counters must reconcile with it exactly.
-            self.metrics.forwarded_hops_total += 1;
-            telem.hop(dim);
-            let slot = self.queues.pop_front(&mut self.store, v);
-            self.class_queued[v & cmask] -= 1;
-            if self.queues.is_empty(v) {
-                self.class_occupied[v & cmask] -= 1;
-            }
-            self.store.advance(slot);
-            self.moves.push(slot);
-        }
-        for &slot in &self.moves {
-            let injected_at = self.store.injected_at[slot as usize];
-            let measured_pkt = measuring && injected_at >= self.warmup;
-            if measured_pkt {
-                self.metrics.total_hops += 1;
-            }
-            let cur = self.store.current(slot);
-            if sink.enabled() {
-                // hop_idx was already advanced: the previous node is
-                // one step back on the current trajectory.
-                sink.record(&TraceEvent {
-                    cycle,
-                    packet: self.store.id[slot as usize],
-                    node: cur,
-                    kind: TraceEventKind::Hop {
-                        from: self.store.route(slot).nodes()
-                            [self.store.hop_idx[slot as usize] as usize - 1],
-                    },
-                });
-            }
-            if self.store.arrived(slot) {
-                self.in_flight -= 1;
-                self.metrics.delivered_total += 1;
-                telem.deliver();
-                self.windows[widx].delivered += 1;
-                let hops = u64::from(self.store.hops_taken[slot as usize]);
-                if is_collective(self.store.id[slot as usize]) {
-                    self.metrics.collective_delivered += 1;
-                    self.windows[widx].collective_delivered += 1;
-                    telem.collective_deliver();
-                    self.op_tracker.deliver(self.store.id[slot as usize], cycle);
-                } else if measured_pkt {
-                    self.metrics.delivered += 1;
-                    self.metrics.total_latency += cycle + 1 - injected_at;
-                    self.metrics.latency_hist.record(cycle + 1 - injected_at);
-                    self.metrics.hops_hist.record(hops);
-                    self.metrics.rerouted_hops += self.store.detour_hops(slot);
-                    if self.store.reroutes[slot as usize] > 0 {
-                        self.metrics.rerouted_packets += 1;
-                    }
-                }
-                if sink.enabled() {
-                    sink.record(&TraceEvent {
-                        cycle,
-                        packet: self.store.id[slot as usize],
-                        node: cur,
-                        kind: TraceEventKind::Deliver {
-                            latency: cycle + 1 - injected_at,
-                            hops,
-                        },
-                    });
-                }
-                self.store.discard(slot);
-            } else {
-                // Keep FIFO order at the receiving node; the packet can
-                // move again no earlier than next cycle.
-                let cu = cur.0 as usize;
-                if self.queues.is_empty(cu) {
-                    self.class_occupied[cu & cmask] += 1;
-                }
-                self.class_queued[cu & cmask] += 1;
-                self.queues.push_back(&mut self.store, cu, slot);
-            }
-        }
-        // Captured before the clear: one entry per forwarded hop, the
-        // profiler's deterministic "moved" counter.
-        let cycle_moved = self.moves.len() as u64;
-        self.moves.clear();
-        for &t in &self.arrival_nodes {
-            self.arriving[t] = 0;
-        }
-        self.arrival_nodes.clear();
-        if let Some(t) = phase_started {
-            let nanos = t.elapsed().as_nanos() as u64;
-            telem.phase_time(Phase::Forwarding, nanos);
-            prof.phase_time(Phase::Forwarding, nanos);
-        }
-
-        // 3. Telemetry sampling (guarded so the telemetry-off engine
-        //    pays nothing). Cache statistics take a lock, so they are
-        //    fetched only at window boundaries.
-        if telem.enabled() {
-            let sample_started = Instant::now();
-            let cache = if telem.wants_sample(cycle) {
-                sim.algorithm.cache_stats()
-            } else {
-                None
-            };
-            telem.end_cycle(CycleView {
-                cycle,
-                class_queued: &self.class_queued,
-                class_occupied: &self.class_occupied,
-                in_flight: self.in_flight,
-                health: self.monitor.state(),
-                live_faults: self.truth.len() as u64,
-                cache,
-            });
-            telem.phase_time(Phase::Telemetry, sample_started.elapsed().as_nanos() as u64);
-        }
-
-        // 4. Profiler sampling: same guard discipline as telemetry —
-        //    the deterministic counters mirror the sharded Round-D
-        //    reduction exactly (end-of-cycle class snapshots, cache
-        //    stats fetched only when asked for, at a quiescent point).
-        if prof.enabled() {
-            let sample_started = Instant::now();
-            let cache = if prof.wants_cache(cycle) {
-                sim.algorithm.cache_stats()
-            } else {
-                None
-            };
-            prof.cycle_sample(&ProfSample {
-                cycle,
-                injected: cycle_injected,
-                moved: cycle_moved,
-                in_flight: self.in_flight,
-                class_queued: &self.class_queued,
-                class_occupied: &self.class_occupied,
-                cache,
-            });
-            prof.phase_time(Phase::Telemetry, sample_started.elapsed().as_nanos() as u64);
-        }
-
-        self.cycle += 1;
-        if cycle >= sim.config.inject_cycles && self.in_flight == 0 {
-            self.ended_at = cycle + 1;
-            self.done = true;
-        } else if self.cycle >= self.total_cycles {
-            self.done = true;
-        }
-        self.done
-    }
-
-    /// Close out the run and build its report. Call once, after
-    /// [`EngineCore::step`] returned `true`; the core's accumulators are
-    /// drained into the report.
-    pub(crate) fn finish<T: TelemetrySink, P: ProfilerSink>(
-        &mut self,
-        sim: &Simulator,
-        telem: &mut T,
-        prof: &mut P,
-    ) -> ChurnReport {
-        if telem.enabled() {
-            telem.finish(CycleView {
-                cycle: self.ended_at,
-                class_queued: &self.class_queued,
-                class_occupied: &self.class_occupied,
-                in_flight: self.in_flight,
-                health: self.monitor.state(),
-                live_faults: self.truth.len() as u64,
-                cache: sim.algorithm.cache_stats(),
-            });
-        }
-        if prof.enabled() {
-            prof.finish_run(self.ended_at, 1);
-        }
-
-        let mut metrics = self.metrics;
-        metrics.cycles = self.ended_at - self.warmup;
-        metrics.in_flight_at_end = self.in_flight;
-        let mut windows = mem::take(&mut self.windows);
-        windows.truncate((self.ended_at as usize).div_ceil(self.window as usize));
-        if let Some(last) = windows.last_mut() {
-            last.end = last.end.min(self.ended_at);
-        }
-        ChurnReport {
-            metrics,
-            windows,
-            trace: self.injector.trace().to_vec(),
-            budget: fault_budget(&sim.gc, &self.truth),
-            tree_health: sim.algorithm.tree_health(&sim.gc, &self.truth),
-            collectives: mem::take(&mut self.op_tracker).into_ops(),
-        }
-    }
-}
-
-/// Account one dropped packet in the aggregate and window counters, and
-/// narrate it into the trace.
-///
-/// A packet that ever re-routed counts towards `rerouted_packets` here
-/// — at its final resolution — so packets rerouted more than once,
-/// rerouted while queued behind another packet, or dropped after
-/// rerouting are all counted exactly once. The per-cause counters
-/// (`dropped_stranded`, `dropped_unrecoverable`, `ttl_expired`) partition
-/// `dropped` exactly.
-#[allow(clippy::too_many_arguments)]
-fn count_drop<S: TraceSink, T: TelemetrySink>(
-    metrics: &mut Metrics,
-    window: &mut WindowStat,
-    tracker: &mut OpTracker,
-    pkt: &Packet,
-    cause: DropCause,
-    measuring: bool,
-    warmup: u64,
-    cycle: u64,
-    node: NodeId,
-    sink: &mut S,
-    telem: &mut T,
-) {
-    window.dropped += 1;
-    metrics.dropped_total += 1;
-    telem.drop_packet();
-    if is_collective(pkt.id) {
-        // Collective packets keep the whole-run and window ledgers but
-        // stay out of the measured unicast drop taxonomy.
-        metrics.collective_dropped += 1;
-        tracker.dropped(pkt.id);
-    } else if measuring && pkt.injected_at >= warmup {
-        metrics.dropped += 1;
-        match cause {
-            DropCause::TtlExpired => metrics.ttl_expired += 1,
-            DropCause::Stranded => metrics.dropped_stranded += 1,
-            DropCause::Unrecoverable => metrics.dropped_unrecoverable += 1,
-        }
-        if pkt.reroutes > 0 {
-            metrics.rerouted_packets += 1;
-        }
-    }
-    if sink.enabled() {
-        sink.record(&TraceEvent {
-            cycle,
-            packet: pkt.id,
-            node,
-            kind: TraceEventKind::Drop { cause },
-        });
-    }
-}
-
-/// Account one planned route's tree choice (multitree strategies only):
-/// whole-run per-tree counters, the switch/exhaustion ledgers, the window
-/// series, and the telemetry hook. Unconditional like the `*_total`
-/// ledger counters, so telemetry totals reconcile exactly.
-fn account_tree_choice<T: TelemetrySink>(
-    metrics: &mut Metrics,
-    window: &mut WindowStat,
-    telem: &mut T,
-    tc: TreeChoice,
-) {
-    if tc.exhausted {
-        metrics.tree_exhausted += 1;
-    } else {
-        metrics.tree_routes[tc.tree as usize % MAX_TREES] += 1;
-    }
-    metrics.tree_switches += u64::from(tc.switches);
-    window.tree_switches += u64::from(tc.switches);
-    telem.tree_activity(u64::from(tc.switches), tc.exhausted);
-}
-
-/// Re-synchronise the routing view onto the ground truth, skipping the
-/// copy when neither set changed since the last sync (their generation
-/// stamps still match the recorded pair).
-pub(crate) fn sync_view(view: &mut FaultSet, truth: &FaultSet, synced: &mut (u64, u64)) {
-    if *synced != (truth.generation(), view.generation()) {
-        view.sync_from(truth);
-        *synced = (truth.generation(), view.generation());
-    }
 }
 
 #[cfg(test)]
@@ -1200,6 +152,7 @@ mod tests {
     use super::*;
     use crate::injection::{FaultKind, FaultTarget, TimedFault};
     use crate::strategy::{FaultFreeGcr, FaultTolerantGcr};
+    use gcube_topology::NodeId;
 
     fn small_config() -> SimConfig {
         SimConfig::new(6, 2)

@@ -1,12 +1,12 @@
 //! Routing as a service: the `gcube serve` daemon.
 //!
 //! The daemon multiplexes many independent simulation sessions — each one
-//! a sequential [`EngineCore`] paused between cycles — behind the
-//! newline-delimited JSON protocol of [`crate::proto`]. Parallelism comes
-//! from running *sessions* concurrently (a bounded worker budget, see
-//! below), never from sharding one session: every session is the
-//! sequential reference engine, so its artifacts are bitwise identical to
-//! a single-run `gcube run` with the same config and seed.
+//! a one-shard run paused between cycles — behind the newline-delimited
+//! JSON protocol of [`crate::proto`]. Parallelism comes from running
+//! *sessions* concurrently (a bounded worker budget, see below), never
+//! from sharding one session; the outputs are thread-invariant, so a
+//! session's artifacts are bitwise identical to a `gcube run` with the
+//! same config and seed.
 //!
 //! ## Concurrency model
 //!
@@ -61,10 +61,11 @@ use std::time::Duration;
 use crate::artifact::{ArtifactKind, ArtifactMeta, ARTIFACT_FORMAT};
 use crate::checkpoint::Checkpoint;
 use crate::config::SimConfig;
-use crate::engine::{EngineCore, Simulator};
+use crate::engine::Simulator;
 use crate::metrics::ChurnReport;
 use crate::profiler::NullProfiler;
 use crate::proto::{self, Request};
+use crate::shard::Coordinator;
 use crate::strategy::{build_strategy, RoutingAlgorithm};
 use crate::telemetry::TelemetryCollector;
 use crate::trace::{MemorySink, TraceSink};
@@ -136,7 +137,7 @@ struct SessionEntry {
     strategy: String,
     trees: usize,
     algo: Box<dyn RoutingAlgorithm + Send + Sync>,
-    core: EngineCore,
+    core: Coordinator,
     sink: MemorySink,
     telem: TelemetryCollector,
     /// Whether the session was already past the Theorem-3 bound when it
@@ -197,10 +198,13 @@ impl SessionEntry {
             .expect("session config was validated at open");
         let mut left = cycles.unwrap_or(u64::MAX);
         while left > 0 {
-            if self
-                .core
-                .step(&sim, &mut self.sink, &mut self.telem, &mut NullProfiler)
-            {
+            if self.core.step(
+                &sim,
+                None,
+                &mut self.sink,
+                &mut self.telem,
+                &mut NullProfiler,
+            ) {
                 break;
             }
             left -= 1;
@@ -210,7 +214,8 @@ impl SessionEntry {
     fn finish(&mut self) -> ChurnReport {
         let sim = Simulator::try_new(self.config.clone(), self.algo.as_ref())
             .expect("session config was validated at open");
-        self.core.finish(&sim, &mut self.telem, &mut NullProfiler)
+        self.core
+            .finish(&sim, None, &mut self.telem, &mut NullProfiler)
     }
 }
 
@@ -385,7 +390,7 @@ impl Server {
             };
             let mut sink = MemorySink::default();
             let mut telem = TelemetryCollector::new(sim.cube(), config.telemetry_interval);
-            let core = EngineCore::new(&sim, &mut sink, &mut telem);
+            let core = Coordinator::new(&sim, 1, &mut sink, &mut telem);
             // `sink` captured the cycle-0 events; it moves into the entry
             // below via this tuple's closure over it.
             drop(sim);

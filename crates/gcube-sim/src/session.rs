@@ -16,18 +16,19 @@
 //! `trace`, `telemetry`, and `profile` rebind the session's sink type
 //! parameters, so the engine still monomorphises over the sinks: a
 //! session that never attaches one compiles to the same zero-observer
-//! loop as before. `threads(n)` selects the deterministic shard engine
-//! ([`crate::shard`]) for `n > 1`; its output is bitwise identical to
-//! the sequential loop for any thread count.
+//! loop as before. Every run executes the one cycle kernel of
+//! [`crate::shard`]; `threads(n)` picks its schedule — one shard inline,
+//! or up to `2^α` lockstepped shards — and the output is bitwise
+//! identical for any thread count.
 
 use gcube_topology::GaussianCube;
 
 use crate::checkpoint::Checkpoint;
-use crate::engine::{EngineCore, Simulator};
+use crate::engine::Simulator;
 use crate::error::SimError;
 use crate::metrics::ChurnReport;
 use crate::profiler::{NullProfiler, ProfilerSink};
-use crate::shard;
+use crate::shard::{self, Coordinator};
 use crate::telemetry::{NullTelemetry, TelemetrySink};
 use crate::trace::{NullSink, TraceSink};
 
@@ -45,7 +46,7 @@ pub fn resolve_threads(requested: usize) -> usize {
 
 /// How many shards a run on `gc` with `threads` threads actually uses:
 /// ending classes are the shard key (Theorem 2), so the count is capped
-/// at `2^α`. One shard means the sequential engine.
+/// at `2^α`. One shard means the inline one-shard schedule.
 pub fn effective_shards(gc: &GaussianCube, threads: usize) -> usize {
     threads.max(1).min(1 << gc.alpha())
 }
@@ -144,31 +145,25 @@ impl<'s, 'a, S: TraceSink, T: TelemetrySink, P: ProfilerSink> SimSession<'s, 'a,
         if shards > 1 && self.sim.config().buffer_capacity.is_some() {
             return Err(SimError::FiniteBuffersRequireSingleThread);
         }
-        Ok(if shards > 1 {
-            shard::run_sharded(
-                self.sim,
-                shards,
-                &mut self.trace,
-                &mut self.telemetry,
-                &mut self.profiler,
-            )
-        } else {
-            self.sim
-                .run_sequential(&mut self.trace, &mut self.telemetry, &mut self.profiler)
-        })
+        Ok(shard::run(
+            self.sim,
+            shards,
+            &mut self.trace,
+            &mut self.telemetry,
+            &mut self.profiler,
+        ))
     }
 
     /// Start the run paused at cycle 0 instead of running it to
     /// completion: the returned [`Stepper`] advances one cycle per call
     /// and can checkpoint between cycles.
     ///
-    /// A stepper always drives the sequential reference engine —
-    /// `threads(n)` is ignored. The deterministic outputs are
-    /// thread-invariant, so this changes nothing observable; callers
-    /// needing parallelism multiplex many steppers (as `gcube serve`
-    /// does) rather than sharding one.
+    /// A stepper always runs the one-shard schedule — `threads(n)` is
+    /// ignored. The deterministic outputs are thread-invariant, so this
+    /// changes nothing observable; callers needing parallelism multiplex
+    /// many steppers (as `gcube serve` does) rather than sharding one.
     pub fn stepper(mut self) -> Stepper<'s, 'a, S, T, P> {
-        let core = EngineCore::new(self.sim, &mut self.trace, &mut self.telemetry);
+        let core = Coordinator::new(self.sim, 1, &mut self.trace, &mut self.telemetry);
         Stepper {
             sim: self.sim,
             core,
@@ -201,7 +196,7 @@ impl<'s, 'a, S: TraceSink, T: TelemetrySink, P: ProfilerSink> SimSession<'s, 'a,
 /// from a checkpoint).
 pub struct Stepper<'s, 'a, S = NullSink, T = NullTelemetry, P = NullProfiler> {
     sim: &'s Simulator<'a>,
-    core: EngineCore,
+    core: Coordinator,
     trace: S,
     telemetry: T,
     profiler: P,
@@ -213,6 +208,7 @@ impl<'s, 'a, S: TraceSink, T: TelemetrySink, P: ProfilerSink> Stepper<'s, 'a, S,
     pub fn step(&mut self) -> bool {
         self.core.step(
             self.sim,
+            None,
             &mut self.trace,
             &mut self.telemetry,
             &mut self.profiler,
@@ -263,6 +259,6 @@ impl<'s, 'a, S: TraceSink, T: TelemetrySink, P: ProfilerSink> Stepper<'s, 'a, S,
     /// [`SimSession::try_run`] for the run-to-completion shortcut).
     pub fn finish(mut self) -> ChurnReport {
         self.core
-            .finish(self.sim, &mut self.telemetry, &mut self.profiler)
+            .finish(self.sim, None, &mut self.telemetry, &mut self.profiler)
     }
 }

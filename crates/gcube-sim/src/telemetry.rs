@@ -130,42 +130,12 @@ pub trait TelemetrySink {
         false
     }
 
-    /// One packet moved over a link in dimension `dim`.
-    #[inline]
-    fn hop(&mut self, _dim: u32) {}
-
-    /// One packet was successfully injected.
-    #[inline]
-    fn inject(&mut self) {}
-
-    /// One packet was delivered.
-    #[inline]
-    fn deliver(&mut self) {}
-
-    /// One *collective* packet (broadcast/multicast/gather wave member)
-    /// was delivered. Fires in addition to [`TelemetrySink::deliver`], so
-    /// the unicast share of a window is `delivered - collective_delivered`.
-    #[inline]
-    fn collective_deliver(&mut self) {}
-
     /// A cached broadcast tree was repaired against a new fault
     /// generation: regrafted in place, or — when `rebuilt` — rebuilt from
-    /// scratch because no cached tree for the root existed. Coordinator-
-    /// only in sharded runs (exactly once per repair, like reroutes).
+    /// scratch because no cached tree for the root existed. Called by the
+    /// coordinator, exactly once per repair.
     #[inline]
     fn tree_repair(&mut self, _rebuilt: bool) {}
-
-    /// One packet was dropped.
-    #[inline]
-    fn drop_packet(&mut self) {}
-
-    /// One packet was re-planned in place.
-    #[inline]
-    fn reroute(&mut self) {}
-
-    /// One packet's planned hop proved dead in the ground truth.
-    #[inline]
-    fn stale_view(&mut self) {}
 
     /// A cycle passed with the routing view lagging the truth.
     #[inline]
@@ -183,20 +153,14 @@ pub trait TelemetrySink {
     #[inline]
     fn health_transition(&mut self, _cycle: u64, _from: HealthState, _to: HealthState) {}
 
-    /// A multitree plan switched trees `switches` times (and fell back to
-    /// FTGCR when `exhausted`). Called once per planned route carrying
-    /// tree data; single-tree strategies never call it.
-    #[inline]
-    fn tree_activity(&mut self, _switches: u64, _exhausted: bool) {}
-
     /// Wall-clock nanoseconds spent in `phase` this cycle. Never exported
     /// to the deterministic CSV/JSONL streams.
     #[inline]
     fn phase_time(&mut self, _phase: Phase, _nanos: u64) {}
 
-    /// Fold in a worker shard's per-cycle delta (sharded runs only; the
-    /// coordinator absorbs every worker's delta before `end_cycle`, so
-    /// window sums are identical to the sequential engine's).
+    /// Fold in one shard's per-cycle delta. The coordinator absorbs every
+    /// shard's delta before `end_cycle`, so window sums are the same for
+    /// every thread count.
     #[inline]
     fn absorb_shard(&mut self, _delta: &ShardTelemetry) {}
 
@@ -222,12 +186,10 @@ impl TelemetrySink for NullTelemetry {
     }
 }
 
-/// A worker shard's telemetry counters for one cycle, shipped to the
-/// coordinator at the cycle's telemetry barrier and folded in via
-/// [`TelemetrySink::absorb_shard`]. Carries exactly the counters workers
-/// account locally in a sharded run; everything else (reroutes, stale
-/// views, fault events, health) is coordinator-owned and reaches the sink
-/// through the ordinary hooks.
+/// One shard's telemetry counters for one cycle, folded into the sink via
+/// [`TelemetrySink::absorb_shard`] before `end_cycle`. Carries every
+/// per-packet counter; the network-global ones (fault events, health,
+/// reconvergence, tree repairs) reach the sink through the hooks.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ShardTelemetry {
     /// Link traversals per dimension this cycle.
@@ -239,14 +201,19 @@ pub struct ShardTelemetry {
     /// Collective packets among `delivered` (broadcast/multicast/gather
     /// wave members sunk at this shard's nodes this cycle).
     pub collective_delivered: u64,
-    /// Packets this shard dropped this cycle (stranding and TTL; recovery
-    /// drops are resolved — and accounted — by the coordinator).
+    /// Packets this shard dropped this cycle (stranding, TTL, and — for
+    /// the coordinator, which resolves recovery — recovery drops).
     pub dropped: u64,
-    /// Tree switches across this shard's injection plans this cycle
-    /// (multitree strategies only; recovery replans are coordinator-owned).
+    /// Tree switches across this shard's plans this cycle (multitree
+    /// strategies only).
     pub tree_switches: u64,
-    /// Injection plans that exhausted every tree and fell back to FTGCR.
+    /// Plans that exhausted every tree and fell back to FTGCR.
     pub tree_exhausted: u64,
+    /// Packets re-planned in place this cycle (coordinator only).
+    pub reroutes: u64,
+    /// Planned hops that proved dead in the ground truth this cycle
+    /// (coordinator only).
+    pub stale_views: u64,
 }
 
 impl ShardTelemetry {
@@ -260,31 +227,26 @@ impl ShardTelemetry {
 
     /// Zero every counter for the next cycle.
     pub fn reset(&mut self) {
-        self.dim_hops.iter_mut().for_each(|h| *h = 0);
-        self.injected = 0;
-        self.delivered = 0;
-        self.collective_delivered = 0;
-        self.dropped = 0;
-        self.tree_switches = 0;
-        self.tree_exhausted = 0;
+        let mut dim_hops = mem::take(&mut self.dim_hops);
+        dim_hops.fill(0);
+        *self = ShardTelemetry {
+            dim_hops,
+            ..ShardTelemetry::default()
+        };
     }
 
     /// Copy `other`'s counters into this pre-sized delta without
-    /// allocating (the shard engine publishes into reusable exchange
-    /// cells; a `clone` per cycle would churn the `dim_hops` buffer).
+    /// allocating (shards publish into reusable exchange cells; a `clone`
+    /// per cycle would churn the `dim_hops` buffer).
     pub fn copy_from(&mut self, other: &ShardTelemetry) {
-        self.dim_hops.copy_from_slice(&other.dim_hops);
-        self.injected = other.injected;
-        self.delivered = other.delivered;
-        self.collective_delivered = other.collective_delivered;
-        self.dropped = other.dropped;
-        self.tree_switches = other.tree_switches;
-        self.tree_exhausted = other.tree_exhausted;
+        let mut dim_hops = mem::take(&mut self.dim_hops);
+        dim_hops.copy_from_slice(&other.dim_hops);
+        *self = ShardTelemetry { dim_hops, ..*other };
     }
 }
 
 /// Forwarding impl so the engine internals can borrow a caller-owned sink
-/// (`SimSession` holds `&mut` sinks across the sequential/sharded split).
+/// (`SimSession` holds `&mut` sinks across both schedules).
 impl<T: TelemetrySink + ?Sized> TelemetrySink for &mut T {
     #[inline]
     fn enabled(&self) -> bool {
@@ -295,36 +257,8 @@ impl<T: TelemetrySink + ?Sized> TelemetrySink for &mut T {
         (**self).wants_sample(cycle)
     }
     #[inline]
-    fn hop(&mut self, dim: u32) {
-        (**self).hop(dim)
-    }
-    #[inline]
-    fn inject(&mut self) {
-        (**self).inject()
-    }
-    #[inline]
-    fn deliver(&mut self) {
-        (**self).deliver()
-    }
-    #[inline]
-    fn collective_deliver(&mut self) {
-        (**self).collective_deliver()
-    }
-    #[inline]
     fn tree_repair(&mut self, rebuilt: bool) {
         (**self).tree_repair(rebuilt)
-    }
-    #[inline]
-    fn drop_packet(&mut self) {
-        (**self).drop_packet()
-    }
-    #[inline]
-    fn reroute(&mut self) {
-        (**self).reroute()
-    }
-    #[inline]
-    fn stale_view(&mut self) {
-        (**self).stale_view()
     }
     #[inline]
     fn stale_cycle(&mut self) {
@@ -341,10 +275,6 @@ impl<T: TelemetrySink + ?Sized> TelemetrySink for &mut T {
     #[inline]
     fn health_transition(&mut self, cycle: u64, from: HealthState, to: HealthState) {
         (**self).health_transition(cycle, from, to)
-    }
-    #[inline]
-    fn tree_activity(&mut self, switches: u64, exhausted: bool) {
-        (**self).tree_activity(switches, exhausted)
     }
     #[inline]
     fn phase_time(&mut self, phase: Phase, nanos: u64) {
@@ -1059,30 +989,6 @@ impl TelemetrySink for TelemetryCollector {
     }
 
     #[inline]
-    fn hop(&mut self, dim: u32) {
-        self.acc.dim_hops[dim as usize] += 1;
-        self.dim_hops_total[dim as usize] += 1;
-    }
-
-    #[inline]
-    fn inject(&mut self) {
-        self.acc.injected += 1;
-        self.injected_total += 1;
-    }
-
-    #[inline]
-    fn deliver(&mut self) {
-        self.acc.delivered += 1;
-        self.delivered_total += 1;
-    }
-
-    #[inline]
-    fn collective_deliver(&mut self) {
-        self.acc.collective_delivered += 1;
-        self.collective_delivered_total += 1;
-    }
-
-    #[inline]
     fn tree_repair(&mut self, rebuilt: bool) {
         if rebuilt {
             self.acc.tree_rebuilds += 1;
@@ -1091,24 +997,6 @@ impl TelemetrySink for TelemetryCollector {
             self.acc.tree_regrafts += 1;
             self.tree_regrafts_total += 1;
         }
-    }
-
-    #[inline]
-    fn drop_packet(&mut self) {
-        self.acc.dropped += 1;
-        self.dropped_total += 1;
-    }
-
-    #[inline]
-    fn reroute(&mut self) {
-        self.acc.reroutes += 1;
-        self.reroutes_total += 1;
-    }
-
-    #[inline]
-    fn stale_view(&mut self) {
-        self.acc.stale_views += 1;
-        self.stale_views_total += 1;
     }
 
     #[inline]
@@ -1134,16 +1022,6 @@ impl TelemetrySink for TelemetryCollector {
     }
 
     #[inline]
-    fn tree_activity(&mut self, switches: u64, exhausted: bool) {
-        self.acc.tree_switches += switches;
-        self.tree_switches_total += switches;
-        if exhausted {
-            self.acc.tree_exhausted += 1;
-            self.tree_exhausted_total += 1;
-        }
-    }
-
-    #[inline]
     fn phase_time(&mut self, phase: Phase, nanos: u64) {
         self.phase_nanos[phase as usize] += nanos;
     }
@@ -1165,6 +1043,10 @@ impl TelemetrySink for TelemetryCollector {
         self.tree_switches_total += delta.tree_switches;
         self.acc.tree_exhausted += delta.tree_exhausted;
         self.tree_exhausted_total += delta.tree_exhausted;
+        self.acc.reroutes += delta.reroutes;
+        self.reroutes_total += delta.reroutes;
+        self.acc.stale_views += delta.stale_views;
+        self.stale_views_total += delta.stale_views;
     }
 
     fn end_cycle(&mut self, view: CycleView<'_>) {
@@ -1189,6 +1071,16 @@ mod tests {
 
     fn gc() -> GaussianCube {
         GaussianCube::new(6, 4).unwrap() // α = 2: 4 ending classes
+    }
+
+    /// Feed one cycle's hops (one per listed dimension) and injections.
+    fn feed(c: &mut TelemetryCollector, g: &GaussianCube, dims: &[u32], injected: u64) {
+        let mut delta = ShardTelemetry::new(g.n() as usize);
+        for &d in dims {
+            delta.dim_hops[d as usize] += 1;
+        }
+        delta.injected = injected;
+        c.absorb_shard(&delta);
     }
 
     /// Class-aggregate slices for a quiet network (all 4 classes empty).
@@ -1216,9 +1108,7 @@ mod tests {
         let g = gc();
         let mut c = TelemetryCollector::new(&g, 10);
         for cycle in 0..25u64 {
-            c.hop(0);
-            c.hop(3);
-            c.inject();
+            feed(&mut c, &g, &[0, 3], 1);
             assert_eq!(c.wants_sample(cycle), (cycle + 1) % 10 == 0);
             c.end_cycle(view(cycle, &IDLE, &IDLE, HealthState::Healthy));
         }
@@ -1261,7 +1151,7 @@ mod tests {
         let g = gc();
         let mut c = TelemetryCollector::with_capacity(&g, 1, 4);
         for cycle in 0..10u64 {
-            c.hop(1);
+            feed(&mut c, &g, &[1], 0);
             c.end_cycle(view(cycle, &IDLE, &IDLE, HealthState::Healthy));
         }
         assert_eq!(c.len(), 4);
@@ -1292,37 +1182,41 @@ mod tests {
     }
 
     #[test]
-    fn absorb_shard_matches_individual_hooks() {
+    fn absorbing_split_deltas_equals_one_delta() {
         let g = gc();
         let mut merged = TelemetryCollector::new(&g, 1);
-        let mut direct = TelemetryCollector::new(&g, 1);
+        let mut split = TelemetryCollector::new(&g, 1);
         let mut delta = ShardTelemetry::new(g.n() as usize);
         delta.dim_hops[0] = 2;
         delta.dim_hops[4] = 1;
         delta.injected = 3;
         delta.delivered = 2;
         delta.dropped = 1;
+        delta.reroutes = 1;
+        delta.stale_views = 2;
         merged.absorb_shard(&delta);
-        for _ in 0..2 {
-            direct.hop(0);
-        }
-        direct.hop(4);
-        for _ in 0..3 {
-            direct.inject();
-        }
-        for _ in 0..2 {
-            direct.deliver();
-        }
-        direct.drop_packet();
-        for c in [&mut merged, &mut direct] {
+        let mut first = ShardTelemetry::new(g.n() as usize);
+        first.dim_hops[0] = 2;
+        first.injected = 3;
+        first.stale_views = 2;
+        let mut second = ShardTelemetry::new(g.n() as usize);
+        second.copy_from(&delta);
+        second.dim_hops[0] = 0;
+        second.injected = 0;
+        second.stale_views = 0;
+        split.absorb_shard(&first);
+        split.absorb_shard(&second);
+        for c in [&mut merged, &mut split] {
             c.end_cycle(view(0, &IDLE, &IDLE, HealthState::Healthy));
         }
         assert_eq!(
             merged.samples().next().unwrap(),
-            direct.samples().next().unwrap()
+            split.samples().next().unwrap()
         );
         assert_eq!(merged.packet_totals(), (3, 2, 1));
         assert_eq!(merged.forwarded_hops_total(), 3);
+        second.reset();
+        assert_eq!(second, ShardTelemetry::new(g.n() as usize));
     }
 
     #[test]
@@ -1330,7 +1224,7 @@ mod tests {
         let g = gc();
         let mut c = TelemetryCollector::new(&g, 5);
         for cycle in 0..20u64 {
-            c.hop((cycle % 6) as u32);
+            feed(&mut c, &g, &[(cycle % 6) as u32], 0);
             c.end_cycle(view(cycle, &IDLE, &IDLE, HealthState::Healthy));
         }
         let csv = c.to_csv();
@@ -1437,7 +1331,7 @@ mod tests {
         let g = gc();
         let mut c = TelemetryCollector::new(&g, 10);
         for cycle in 0..30u64 {
-            c.hop(2);
+            feed(&mut c, &g, &[2], 0);
             c.end_cycle(view(cycle, &IDLE, &IDLE, HealthState::Healthy));
         }
         c.health_transition(7, HealthState::Healthy, HealthState::Degraded);
