@@ -79,8 +79,7 @@ pub enum Command {
     },
     /// `gcube run <n> <M> [--rate R] [--cycles C] [--faults K]
     /// [--pattern P] [--seed S]` plus the churn flags (see [`USAGE`]) —
-    /// run the cycle simulator. `gcube simulate` is the deprecated
-    /// spelling of the same command.
+    /// run the cycle simulator.
     Run {
         /// Dimension.
         n: u32,
@@ -116,8 +115,8 @@ pub enum Command {
         /// and print the profiler report. Samples every
         /// `telemetry_interval` cycles.
         profile: Option<String>,
-        /// Worker threads for the shard engine (`0` = available
-        /// parallelism, `1` = the sequential engine).
+        /// Worker threads (`0` = available parallelism, `1` = the
+        /// one-shard schedule).
         threads: usize,
         /// Routing strategy override.
         strategy: StrategyArg,
@@ -127,9 +126,6 @@ pub enum Command {
         collective: Option<CollectiveOp>,
         /// Cycles between collective operations.
         collective_interval: u64,
-        /// The command came in through the legacy `simulate` alias; the
-        /// driver prints a migration hint before running it.
-        deprecated: bool,
     },
     /// `gcube serve [--socket PATH | --connect PATH] [--max-sessions N]
     /// [--workers N]` — the routing-as-a-service daemon (or, with
@@ -228,8 +224,6 @@ USAGE:
   gcube tolerance [max_n]
   gcube robustness <n> <M> <k>
   gcube help
-
-`gcube simulate` is the deprecated spelling of `gcube run` (same flags).
 
 PATTERNS: uniform (default), complement, reversal, transpose
 STRATEGY:
@@ -446,10 +440,7 @@ pub fn parse(args: &[String]) -> Result<Command, SimError> {
                 fault_free,
             })
         }
-        "run" | "simulate" => {
-            // `simulate` is the legacy flat spelling; it parses
-            // identically and the driver prints a migration hint.
-            let deprecated = cmd == "simulate";
+        "run" => {
             let n = parse_num(next(&mut it, "n")?, "dimension n")?;
             let modulus = parse_num(next(&mut it, "M")?, "modulus M")?;
             let mut rate = 0.005f64;
@@ -630,7 +621,6 @@ pub fn parse(args: &[String]) -> Result<Command, SimError> {
                 trees,
                 collective,
                 collective_interval,
-                deprecated,
             })
         }
         "serve" => {
@@ -931,7 +921,7 @@ mod tests {
         let Command::Run { threads, .. } = parse(&argv("run 8 2")).unwrap() else {
             panic!()
         };
-        assert_eq!(threads, 1, "default is the sequential engine");
+        assert_eq!(threads, 1, "default is the one-shard schedule");
         let Command::Run { threads, .. } = parse(&argv("run 8 2 --threads 4")).unwrap() else {
             panic!()
         };
@@ -1166,26 +1156,6 @@ mod tests {
         assert!(e.to_string().contains("--top"), "{e}");
         let e = parse(&argv("analyze diff a.jsonl")).unwrap_err();
         assert!(e.to_string().contains("candidate artifact"), "{e}");
-    }
-
-    #[test]
-    fn simulate_is_a_deprecated_run_alias() {
-        let run = parse(&argv("run 8 2 --rate 0.02 --faults 1")).unwrap();
-        assert!(matches!(
-            run,
-            Command::Run {
-                deprecated: false,
-                ..
-            }
-        ));
-        let mut legacy = parse(&argv("simulate 8 2 --rate 0.02 --faults 1")).unwrap();
-        let Command::Run { deprecated, .. } = &mut legacy else {
-            panic!("wrong command: {legacy:?}")
-        };
-        assert!(*deprecated, "the alias must be flagged for the hint");
-        // Aside from the flag, the two spellings parse identically.
-        *deprecated = false;
-        assert_eq!(legacy, run);
     }
 
     #[test]

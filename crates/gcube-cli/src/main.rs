@@ -8,8 +8,6 @@
 //! gcube diameter 14
 //! gcube robustness 8 2 4
 //! ```
-//!
-//! `gcube simulate` remains as a deprecated alias of `gcube run`.
 
 mod args;
 
@@ -85,36 +83,30 @@ fn run(cmd: Command) -> Result<(), String> {
             trees,
             collective,
             collective_interval,
-            deprecated,
-        } => {
-            if deprecated {
-                eprintln!("note: `gcube simulate` is deprecated; use `gcube run` (same flags)");
-            }
-            simulate(
-                n,
-                modulus,
-                rate,
-                cycles,
-                faults,
-                pattern,
-                seed,
-                churn,
-                threads,
-                strategy,
-                trees,
-                collective,
-                collective_interval,
-                SimulateOutput {
-                    trace,
-                    percentiles,
-                    verify_replay,
-                    telemetry,
-                    telemetry_interval,
-                    health_report,
-                    profile,
-                },
-            )
-        }
+        } => simulate(
+            n,
+            modulus,
+            rate,
+            cycles,
+            faults,
+            pattern,
+            seed,
+            churn,
+            threads,
+            strategy,
+            trees,
+            collective,
+            collective_interval,
+            SimulateOutput {
+                trace,
+                percentiles,
+                verify_replay,
+                telemetry,
+                telemetry_interval,
+                health_report,
+                profile,
+            },
+        ),
         Command::Serve {
             socket,
             connect,
@@ -250,7 +242,7 @@ fn route(
     Ok(())
 }
 
-/// Observability options of `gcube simulate`.
+/// Observability options of `gcube run`.
 struct SimulateOutput {
     trace: Option<String>,
     percentiles: bool,
@@ -623,7 +615,7 @@ fn simulate(
             if num_classes == 1 { "" } else { "es" },
         );
         if shards == 1 {
-            println!("  sequential engine (one shard owns every class)");
+            println!("  one shard owns every class");
         } else {
             for (s, (lo, hi)) in class_ranges(num_classes, shards).into_iter().enumerate() {
                 println!(

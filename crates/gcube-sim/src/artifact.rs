@@ -75,7 +75,7 @@ pub struct ArtifactMeta {
     pub modulus: u64,
     /// Traffic/fault RNG seed.
     pub seed: u64,
-    /// Worker threads the run used (1 = sequential engine).
+    /// Worker threads the run used (1 = the one-shard schedule).
     pub threads: u64,
     /// Routing strategy name as the CLI spells it.
     pub strategy: String,

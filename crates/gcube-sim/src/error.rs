@@ -37,7 +37,7 @@ pub enum SimError {
         reason: String,
     },
     /// Finite per-node buffers (backpressure) are only defined for the
-    /// sequential engine: cross-shard capacity checks would need mid-cycle
+    /// one-shard schedule: cross-shard capacity checks would need mid-cycle
     /// coordination, so `--threads` above 1 rejects them.
     FiniteBuffersRequireSingleThread,
     /// The collective traffic class injects a whole broadcast wave in one

@@ -25,9 +25,9 @@
 //!   changes. The forwarding check `is_link_usable` drops from three hash
 //!   probes per forwarded packet to three bit probes.
 //!
-//! The layouts change nothing observable: the sequential engine and the
-//! shard engine produce bit-identical reports, traces, and telemetry over
-//! either representation (the session proptests pin this).
+//! The cycle kernel ([`crate::shard`]) runs every schedule over these
+//! types; reports, traces, and telemetry are bit-identical for every
+//! shard count (the pinned digests and the session proptests check this).
 
 use gcube_routing::{FaultSet, Route};
 use gcube_topology::NodeId;

@@ -20,9 +20,9 @@
 //!
 //! The engine is seeded and lockstep-synchronised, so the event stream is
 //! a pure function of [`crate::config::SimConfig`] and the routing
-//! algorithm — for *any* thread count: the sharded engine merges
-//! per-shard events back into the exact sequential order before they
-//! reach the sink. [`crate::replay`] re-executes a recorded run and
+//! algorithm — for *any* thread count: every schedule buffers the
+//! cycle's events under a merge key and flushes them in key order, so
+//! per-shard events reach the sink in the one-shard order. [`crate::replay`] re-executes a recorded run and
 //! asserts event-for-event equality — a standing determinism check.
 
 use std::fmt;
