@@ -8,7 +8,9 @@
 //!   (the ISSUE's ≥2x criterion) and FTGCR under a small fault set;
 //! * the plan-cache hit rate over the measured pair stream;
 //! * full-engine cycles per second at `n ∈ {10, 12, 14}` with the cached
-//!   strategy.
+//!   strategy;
+//! * the million-node `GC(20, 4)` run: set-up and stepping timed apart,
+//!   plus the injection scan's nanoseconds per node (median and IQR).
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -102,11 +104,29 @@ fn measure_engine(n: u32, inject: u64) -> EnginePoint {
     }
 }
 
-/// Median of an odd-or-even handful of wall times; robust against one
-/// stray scheduler hiccup where a mean is not.
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
+/// First quartile, median and third quartile of a handful of timings;
+/// the median is robust against one stray scheduler hiccup where a mean
+/// is not.
+struct Quartiles {
+    q1: f64,
+    median: f64,
+    q3: f64,
+}
+
+impl Quartiles {
+    fn of(xs: &mut [f64]) -> Quartiles {
+        xs.sort_by(f64::total_cmp);
+        let at = |q: f64| xs[((xs.len() - 1) as f64 * q).round() as usize];
+        Quartiles {
+            q1: at(0.25),
+            median: at(0.5),
+            q3: at(0.75),
+        }
+    }
+
+    fn iqr(&self) -> f64 {
+        self.q3 - self.q1
+    }
 }
 
 /// Measure two modes of the same workload fairly: warm both once
@@ -127,7 +147,7 @@ fn interleaved_secs(reps: usize, mut run_a: impl FnMut(), mut run_b: impl FnMut(
         run_b();
         b.push(t.elapsed().as_secs_f64());
     }
-    (median(&mut a), median(&mut b))
+    (Quartiles::of(&mut a).median, Quartiles::of(&mut b).median)
 }
 
 struct TracingCost {
@@ -334,8 +354,15 @@ struct MillionNode {
     cycles: u64,
     injected: u64,
     delivered: u64,
+    /// `Simulator::new` plus `stepper()`: the cycle-0 state.
+    setup_secs: f64,
+    /// Stepping to completion plus `finish`.
     wall_secs: f64,
+    /// Cycles over `wall_secs`, so set-up does not fold into the rate.
     cycles_per_sec: f64,
+    /// One rate-0 cycle's step time per node, over `scan_samples` cycles.
+    scan: Quartiles,
+    scan_samples: usize,
 }
 
 /// A completed million-node run: `GC(20, 4)` end to end through the
@@ -344,23 +371,48 @@ struct MillionNode {
 /// with live packets — so a 2^20-node network is a routine workload, not
 /// a stress test. Trickle injection keeps the packet population small
 /// while every hop still crosses the full 20-dimension address space.
-fn measure_million_node(inject: u64) -> MillionNode {
+///
+/// Set-up and stepping are timed apart. The injection scan is measured
+/// on its own by a rate-0 run of the same cube: with no packets, a cycle
+/// is one Bernoulli draw per node and nothing else.
+fn measure_million_node(inject: u64, scan_samples: usize) -> MillionNode {
     let algo = CachedFfgcr::new();
     let cfg = SimConfig::new(20, 4)
         .with_cycles(inject, inject * 10, 0)
         .with_rate(0.0002);
-    let sim = Simulator::new(cfg, &algo);
     let t0 = Instant::now();
-    let m = sim.session().run().metrics;
-    let wall_secs = t0.elapsed().as_secs_f64();
+    let sim = Simulator::new(cfg, &algo);
+    let mut stepper = sim.session().stepper();
+    let setup_secs = t0.elapsed().as_secs_f64();
+    let t1 = Instant::now();
+    while !stepper.step() {}
+    let m = stepper.finish().metrics;
+    let wall_secs = t1.elapsed().as_secs_f64();
+
+    let idle = SimConfig::new(20, 4)
+        .with_cycles(scan_samples as u64 + 1, 0, 0)
+        .with_rate(0.0);
+    let sim = Simulator::new(idle, &algo);
+    let mut stepper = sim.session().stepper();
+    stepper.step(); // Warm-up: page in the bitsets.
+    let mut per_node: Vec<f64> = (0..scan_samples)
+        .map(|_| {
+            let t = Instant::now();
+            stepper.step();
+            t.elapsed().as_nanos() as f64 / m.nodes as f64
+        })
+        .collect();
     MillionNode {
         n: 20,
         nodes: m.nodes,
         cycles: m.cycles,
         injected: m.injected_total,
         delivered: m.delivered_total,
+        setup_secs,
         wall_secs,
         cycles_per_sec: m.cycles as f64 / wall_secs,
+        scan: Quartiles::of(&mut per_node),
+        scan_samples,
     }
 }
 
@@ -575,18 +627,26 @@ fn main() {
         }
     }
 
-    let million = measure_million_node(if quick() { 10 } else { 25 });
+    let million =
+        measure_million_node(if quick() { 10 } else { 25 }, if quick() { 20 } else { 60 });
     println!(
         "\nmillion-node run, GC(20, 4) ({} nodes), cached FFGCR trickle:",
         million.nodes
     );
     println!(
-        "  {} cycles in {:.2}s  ({:.0} cycles/s, {} injected, {} delivered)",
+        "  set-up {:.3}s, then {} cycles in {:.2}s  ({:.0} cycles/s, {} injected, {} delivered)",
+        million.setup_secs,
         million.cycles,
         million.wall_secs,
         million.cycles_per_sec,
         million.injected,
         million.delivered
+    );
+    println!(
+        "  injection scan {:.3} ns/node (IQR {:.3}, {} rate-0 cycles)",
+        million.scan.median,
+        million.scan.iqr(),
+        million.scan_samples
     );
 
     let survival = measure_survival();
@@ -638,6 +698,7 @@ fn main() {
     let _ = writeln!(out, "  \"benchmark\": \"bench_trajectory\",");
     let _ = writeln!(out, "  \"cube\": \"GC({n}, 4)\",");
     let _ = writeln!(out, "  \"quick\": {},", quick());
+    let _ = writeln!(out, "  \"host_cores\": {},", parallel.host_cores);
     json_route(&mut out, "ffgcr", &ff);
     out.push_str(",\n");
     json_route(&mut out, "ftgcr_two_faults", &ft);
@@ -696,14 +757,20 @@ fn main() {
     );
     let _ = write!(
         out,
-        "  \"million_node\": {{\n    \"cube\": \"GC({}, 4)\",\n    \"nodes\": {},\n    \"cycles\": {},\n    \"injected\": {},\n    \"delivered\": {},\n    \"wall_secs\": {:.3},\n    \"cycles_per_sec\": {:.0}\n  }},\n",
+        "  \"million_node\": {{\n    \"cube\": \"GC({}, 4)\",\n    \"nodes\": {},\n    \"cycles\": {},\n    \"injected\": {},\n    \"delivered\": {},\n    \"setup_secs\": {:.4},\n    \"wall_secs\": {:.3},\n    \"cycles_per_sec\": {:.0},\n    \"scan_ns_per_node\": {{\"samples\": {}, \"median\": {:.3}, \"q1\": {:.3}, \"q3\": {:.3}, \"iqr\": {:.3}}}\n  }},\n",
         million.n,
         million.nodes,
         million.cycles,
         million.injected,
         million.delivered,
+        million.setup_secs,
         million.wall_secs,
-        million.cycles_per_sec
+        million.cycles_per_sec,
+        million.scan_samples,
+        million.scan.median,
+        million.scan.q1,
+        million.scan.q3,
+        million.scan.iqr()
     );
     let _ = write!(
         out,

@@ -161,11 +161,14 @@ pub struct FaultInjector {
     schedule: FaultSchedule,
     pending: BTreeMap<u64, Vec<PendingOp>>,
     trace: Vec<FaultEvent>,
-    // Candidate pools for category-aware random placement.
+    // Candidate pools for category-aware random placement; built only
+    // for Bernoulli schedules, the only ones that draw targets.
     links_a: Vec<LinkId>,
     links_b: Vec<LinkId>,
     nodes_b: Vec<NodeId>,
     nodes_c: Vec<NodeId>,
+    /// Nodes in the cube.
+    nodes: u64,
     /// Never fail a node if it would leave fewer than this many healthy.
     min_healthy_nodes: u64,
 }
@@ -184,33 +187,12 @@ impl FaultInjector {
                 });
             }
         }
-        // The candidate pools in one pass over the nodes, each in
-        // `gc.links()` / node order: a link is A-category iff its
-        // dimension is `>= α` (`link_category`), and a node is C-category
-        // iff it owns such a link (`node_category`).
-        let alpha = gc.alpha();
-        let (mut links_a, mut links_b) = (Vec::new(), Vec::new());
-        let (mut nodes_b, mut nodes_c) = (Vec::new(), Vec::new());
-        for v in 0..gc.num_nodes() {
-            let node = NodeId(v);
-            let mut owns_high = false;
-            for c in (0..gc.n()).filter(|&c| gc.has_link(node, c)) {
-                owns_high |= c >= alpha;
-                if !node.bit(c) {
-                    let pool = if c >= alpha {
-                        &mut links_a
-                    } else {
-                        &mut links_b
-                    };
-                    pool.push(LinkId::new(node, c));
-                }
-            }
-            if owns_high {
-                nodes_c.push(node);
+        let (links_a, links_b, nodes_b, nodes_c) =
+            if matches!(schedule, FaultSchedule::Bernoulli { .. }) {
+                candidate_pools(gc)
             } else {
-                nodes_b.push(node);
-            }
-        }
+                Default::default()
+            };
         FaultInjector {
             rng: StdRng::seed_from_u64(seed ^ 0xc4u64.rotate_left(56)),
             schedule,
@@ -220,6 +202,7 @@ impl FaultInjector {
             links_b,
             nodes_b,
             nodes_c,
+            nodes: gc.num_nodes(),
             min_healthy_nodes: 2,
         }
     }
@@ -358,8 +341,7 @@ impl FaultInjector {
     /// Whether another node may fail without dropping below the healthy
     /// floor (the simulator needs at least a source/destination pair).
     fn node_budget_ok(&self, truth: &FaultSet) -> bool {
-        let total = (self.nodes_b.len() + self.nodes_c.len()) as u64;
-        total - truth.faulty_nodes().count() as u64 > self.min_healthy_nodes
+        self.nodes - truth.faulty_nodes().count() as u64 > self.min_healthy_nodes
     }
 
     /// Draw a currently-healthy target according to the category mix.
@@ -436,6 +418,37 @@ impl FaultInjector {
     }
 }
 
+/// The candidate pools `(links_a, links_b, nodes_b, nodes_c)` in one
+/// pass over the nodes, each in `gc.links()` / node order: a link is
+/// A-category iff its dimension is `>= α` (`link_category`), and a node
+/// is C-category iff it owns such a link (`node_category`).
+fn candidate_pools(gc: &GaussianCube) -> (Vec<LinkId>, Vec<LinkId>, Vec<NodeId>, Vec<NodeId>) {
+    let alpha = gc.alpha();
+    let (mut links_a, mut links_b) = (Vec::new(), Vec::new());
+    let (mut nodes_b, mut nodes_c) = (Vec::new(), Vec::new());
+    for v in 0..gc.num_nodes() {
+        let node = NodeId(v);
+        let mut owns_high = false;
+        for c in (0..gc.n()).filter(|&c| gc.has_link(node, c)) {
+            owns_high |= c >= alpha;
+            if !node.bit(c) {
+                let pool = if c >= alpha {
+                    &mut links_a
+                } else {
+                    &mut links_b
+                };
+                pool.push(LinkId::new(node, c));
+            }
+        }
+        if owns_high {
+            nodes_c.push(node);
+        } else {
+            nodes_b.push(node);
+        }
+    }
+    (links_a, links_b, nodes_b, nodes_c)
+}
+
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum PoolId {
     LinksA,
@@ -479,7 +492,13 @@ mod tests {
     fn candidate_pools_match_the_category_functions() {
         for (n, m) in [(6u32, 2u64), (8, 4), (7, 8)] {
             let g = GaussianCube::new(n, m).unwrap();
-            let inj = FaultInjector::new(&g, FaultSchedule::None, 1);
+            let schedule = FaultSchedule::Bernoulli {
+                rate: 0.1,
+                kind: FaultKind::Permanent,
+                mix: CategoryMix::default(),
+                node_fraction: 0.5,
+            };
+            let inj = FaultInjector::new(&g, schedule, 1);
             let is_a = |l: &LinkId| link_category(&g, *l) == FaultCategory::A;
             let is_c = |v: &NodeId| node_category(&g, *v) == FaultCategory::C;
             let (a, b): (Vec<LinkId>, Vec<LinkId>) = g.links().into_iter().partition(is_a);
@@ -488,6 +507,38 @@ mod tests {
             assert_eq!((inj.links_a, inj.links_b), (a, b), "GC({n},{m}) links");
             assert_eq!((inj.nodes_c, inj.nodes_b), (c, nb), "GC({n},{m}) nodes");
         }
+    }
+
+    /// Only Bernoulli placement reads the pools, so the other schedules
+    /// build none; the healthy-node floor still holds for scripted node
+    /// faults, which take the node total from the cube.
+    #[test]
+    fn only_bernoulli_schedules_build_pools() {
+        let g = GaussianCube::new(4, 2).unwrap();
+        let every_node = FaultSchedule::Scripted(
+            (0..g.num_nodes())
+                .map(|v| TimedFault {
+                    cycle: v,
+                    target: FaultTarget::Node(NodeId(v)),
+                    kind: FaultKind::Permanent,
+                })
+                .collect(),
+        );
+        for schedule in [FaultSchedule::None, every_node.clone()] {
+            let inj = FaultInjector::new(&g, schedule, 1);
+            assert!(inj.links_a.is_empty() && inj.links_b.is_empty());
+            assert!(inj.nodes_b.is_empty() && inj.nodes_c.is_empty());
+        }
+        let mut inj = FaultInjector::new(&g, every_node, 1);
+        let mut truth = FaultSet::new();
+        for c in 0..g.num_nodes() {
+            inj.step(c, &mut truth);
+        }
+        let healthy = g.num_nodes() - truth.faulty_nodes().count() as u64;
+        assert_eq!(
+            healthy, 2,
+            "the floor stops the script at two healthy nodes"
+        );
     }
 
     fn gc() -> GaussianCube {

@@ -1309,13 +1309,6 @@ impl Shard {
     }
 }
 
-/// The first node in `from..n` that is alive in the truth and whose
-/// Bernoulli draw fires: the per-node draw loop, kept tight so the RNG
-/// state stays in registers across the dead and silent nodes.
-fn next_source(traffic: &mut TrafficGen, links: &LinkTable, from: u64, n: u64) -> Option<u64> {
-    (from..n).find(|&v| !links.node_faulty(v) && traffic.fires())
-}
-
 /// Record one phase's wall-clock time into both timing consumers.
 fn lap<T: TelemetrySink, P: ProfilerSink>(
     started: Option<Instant>,
@@ -1612,7 +1605,10 @@ impl Coordinator {
         let mut cycle_injected = 0u64;
         let n_nodes = sim.gc.num_nodes();
         let mut from = 0;
-        while let Some(v) = next_source(&mut self.traffic, &self.shard.links, from, n_nodes) {
+        while let Some(v) = self
+            .traffic
+            .next_source(self.shard.links.dead_nodes(), from, n_nodes)
+        {
             from = v + 1;
             let shard = &mut self.shard;
             if let Some(cap) = shard.capacity {

@@ -363,6 +363,12 @@ impl LinkTable {
         self.node_dead[v as usize / 64] & (1u64 << (v % 64)) != 0
     }
 
+    /// The dead-node bitset, one bit per node (bits past the last node
+    /// are clear), for scans that walk it a word at a time.
+    pub fn dead_nodes(&self) -> &[u64] {
+        &self.node_dead
+    }
+
     /// Mirror of [`FaultSet::is_link_usable`] for the hop `from → to`
     /// over `dim`: the link itself and both endpoints must be healthy.
     #[inline]

@@ -60,8 +60,29 @@ impl TrafficPattern {
 /// paper's synthetic workload).
 pub struct TrafficGen {
     rng: StdRng,
-    rate: f64,
+    /// The Bernoulli test's integer threshold (see [`fires_below`]).
+    threshold: u64,
     pattern: TrafficPattern,
+}
+
+/// Whether the raw draw `x` fires at `threshold = ceil(rate · 2^53)`.
+///
+/// This is exactly `gen_bool(rate)`, which tests `(x >> 11) · 2^-53 <
+/// rate`. Both sides are exact in `f64`: `x >> 11` has 53 bits, and
+/// scaling by a power of two only moves the exponent. Multiplying
+/// through by `2^53` gives `k < rate · 2^53` for the integer
+/// `k = x >> 11`, which holds iff `k < ceil(rate · 2^53)`. At `rate = 1`
+/// the threshold is `2^53`, so the compare stays on `x >> 11`
+/// (`threshold << 11` would overflow).
+#[inline]
+fn fires_below(x: u64, threshold: u64) -> bool {
+    x >> 11 < threshold
+}
+
+/// The threshold [`fires_below`] tests a draw of probability `rate`
+/// against: `ceil(rate · 2^53)`.
+fn threshold(rate: f64) -> u64 {
+    (rate * (1u64 << 53) as f64).ceil() as u64
 }
 
 impl TrafficGen {
@@ -72,23 +93,65 @@ impl TrafficGen {
 
     /// Create a generator with an explicit spatial pattern. The rate must
     /// be a probability — [`crate::config::SimConfig::validate`] enforces
-    /// that for simulator-driven traffic; direct construction asserts it
-    /// (the old code silently clamped, so `rate = 1.2` ran as `1.0`).
+    /// that for simulator-driven traffic; direct construction asserts it,
+    /// in every build, so `rate = 1.2` cannot run as `1.0` nor NaN as `0`.
+    ///
+    /// # Panics
+    ///
+    /// If `rate` is NaN or outside `[0, 1]`.
     pub fn with_pattern(seed: u64, rate: f64, pattern: TrafficPattern) -> TrafficGen {
-        debug_assert!(
-            rate.is_finite() && (0.0..=1.0).contains(&rate),
+        assert!(
+            (0.0..=1.0).contains(&rate),
             "injection rate must be in [0, 1], got {rate}"
         );
         TrafficGen {
             rng: StdRng::seed_from_u64(seed),
-            rate,
+            threshold: threshold(rate),
             pattern,
         }
     }
 
     /// Whether `src` injects a packet this cycle.
     pub fn fires(&mut self) -> bool {
-        self.rng.gen_bool(self.rate)
+        fires_below(self.rng.next_u64(), self.threshold)
+    }
+
+    /// The first node in `from..n` that is alive and whose Bernoulli
+    /// draw fires. `dead` is a dead-node bitset (bit `v % 64` of word
+    /// `v / 64`, at least `n` bits).
+    ///
+    /// Every live node consumes exactly one draw, in node order, so
+    /// alternating this scan with [`TrafficGen::pick_dest`] reproduces
+    /// the per-node loop `(from..n).find(|&v| !dead(v) && fires())` draw
+    /// for draw. The scan walks the bitset a word at a time and keeps
+    /// the generator in a local, so dead nodes cost a bit operation and
+    /// silent nodes one draw and one compare.
+    pub(crate) fn next_source(&mut self, dead: &[u64], from: u64, n: u64) -> Option<u64> {
+        if from >= n {
+            return None;
+        }
+        let (first, last) = ((from / 64) as usize, ((n - 1) / 64) as usize);
+        let threshold = self.threshold;
+        let mut rng = self.rng.clone();
+        let mut found = None;
+        'scan: for (w, &dead_w) in dead.iter().enumerate().take(last + 1).skip(first) {
+            let mut live = !dead_w;
+            if w == first {
+                live &= u64::MAX << (from % 64);
+            }
+            if w == last {
+                live &= u64::MAX >> ((64 - n % 64) % 64);
+            }
+            while live != 0 {
+                if fires_below(rng.next_u64(), threshold) {
+                    found = Some(w as u64 * 64 + u64::from(live.trailing_zeros()));
+                    break 'scan;
+                }
+                live &= live - 1;
+            }
+        }
+        self.rng = rng;
+        found
     }
 
     /// The generator's raw RNG state, for mid-run checkpointing.
@@ -229,6 +292,126 @@ mod tests {
         assert!((0..50).all(|_| always.fires()));
         let mut never = TrafficGen::new(0, 0.0);
         assert!((0..50).all(|_| !never.fires()));
+    }
+
+    #[test]
+    #[should_panic(expected = "injection rate must be in [0, 1], got 1.2")]
+    fn rate_above_one_is_rejected() {
+        TrafficGen::new(0, 1.2);
+    }
+
+    #[test]
+    #[should_panic(expected = "injection rate must be in [0, 1], got NaN")]
+    fn nan_rate_is_rejected() {
+        TrafficGen::with_pattern(0, f64::NAN, TrafficPattern::BitComplement);
+    }
+}
+
+#[cfg(test)]
+mod scan_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The per-node loop the word scan replaces, drawing through the
+    /// float `gen_bool` rather than the shared integer threshold.
+    fn reference(t: &mut TrafficGen, rate: f64, dead: &[u64], from: u64, n: u64) -> Option<u64> {
+        let is_dead = |v: u64| dead[v as usize / 64] >> (v % 64) & 1 == 1;
+        (from..n).find(|&v| !is_dead(v) && t.rng.gen_bool(rate))
+    }
+
+    /// A dead-node bitset over `n` nodes: all live, all dead, sparse, or
+    /// a per-word mix of the three. Bits past `n` stay clear, as in
+    /// `LinkTable`.
+    fn dead_words(n: u64, layout: u8, seed: u64) -> Vec<u64> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut words: Vec<u64> = (0..n.div_ceil(64))
+            .map(|_| {
+                let sparse = rng.next_u64() & rng.next_u64() & rng.next_u64();
+                match (layout, rng.gen_range(0..3u8)) {
+                    (0, _) | (3, 0) => 0,
+                    (1, _) | (3, 1) => u64::MAX,
+                    _ => sparse,
+                }
+            })
+            .collect();
+        if !n.is_multiple_of(64) {
+            *words.last_mut().unwrap() &= (1u64 << (n % 64)) - 1;
+        }
+        words
+    }
+
+    /// Rates at the edges of the threshold: 0, 1, the smallest positive
+    /// step `2^-53`, one half, dyadic rates where `rate · 2^53` is an
+    /// integer, the float just above a dyadic rate, and uniform ones.
+    fn rates() -> impl Strategy<Value = f64> {
+        let dyadic = |(e, m): (u32, u64)| (m % ((1u64 << e) + 1)) as f64 / (1u64 << e) as f64;
+        prop_oneof![
+            Just(0.0),
+            Just(1.0),
+            Just(2f64.powi(-53)),
+            Just(0.5),
+            (1u32..=53, any::<u64>()).prop_map(dyadic),
+            (1u32..=53, any::<u64>()).prop_map(move |x| dyadic(x).next_up().min(1.0)),
+            0.0..=1.0f64,
+        ]
+    }
+
+    /// A generator stuck on one draw, to put `gen_bool` on a chosen `x`.
+    struct Fixed(u64);
+
+    impl Rng for Fixed {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Random draws almost never land next to the threshold, so test
+        /// there directly: the draws just below, at and above it fire
+        /// exactly when `gen_bool` does.
+        #[test]
+        fn threshold_matches_gen_bool_at_the_boundary((rate, low) in (rates(), any::<u64>())) {
+            let t = threshold(rate);
+            for k in t.saturating_sub(2)..(t + 2).min(1 << 53) {
+                let x = k << 11 | low & 0x7ff;
+                prop_assert_eq!(fires_below(x, t), Fixed(x).gen_bool(rate), "rate={} k={}", rate, k);
+            }
+        }
+
+        /// Scan and reference, called alternately from a random start
+        /// with one `pick_dest` between calls, return the same node
+        /// sequence and leave the same RNG state after every call; and
+        /// `fires()` then keeps matching `gen_bool`.
+        #[test]
+        fn scan_matches_the_per_node_loop(
+            (n, layout, dead_seed, from_raw, rate, seed)
+                in (1u64..=300, 0u8..4, any::<u64>(), any::<u64>(), rates(), any::<u64>())
+        ) {
+            let gc = GaussianCube::new(6, 2).unwrap();
+            let faults = FaultSet::new();
+            let dead = dead_words(n, layout, dead_seed);
+            let mut scan = TrafficGen::new(seed, rate);
+            let mut per_node = TrafficGen::new(seed, rate);
+            let mut from = from_raw % (n + 1);
+            loop {
+                let got = scan.next_source(&dead, from, n);
+                let want = reference(&mut per_node, rate, &dead, from, n);
+                prop_assert_eq!(got, want, "n={} from={} rate={}", n, from, rate);
+                prop_assert_eq!(scan.rng_state(), per_node.rng_state());
+                let Some(v) = got else { break };
+                let src = NodeId(v % gc.num_nodes());
+                prop_assert_eq!(
+                    scan.pick_dest(&gc, &faults, src),
+                    per_node.pick_dest(&gc, &faults, src)
+                );
+                from = v + 1;
+            }
+            for _ in 0..64 {
+                prop_assert_eq!(scan.fires(), per_node.rng.gen_bool(rate), "rate={}", rate);
+            }
+        }
     }
 }
 
