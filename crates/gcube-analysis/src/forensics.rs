@@ -25,6 +25,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use gcube_sim::proto::{Fields, Line};
 use gcube_sim::{ArtifactMeta, DropCause, TraceEvent, TraceEventKind};
 use gcube_topology::NodeId;
 
@@ -407,34 +408,19 @@ impl<'a> RunForensics<'a> {
     }
 }
 
-/// Pull an integer field out of one flat JSONL line.
-fn json_u64(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let idx = line.find(&pat)? + pat.len();
-    let rest = &line[idx..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-/// Pull a string field out of one flat JSONL line.
-fn json_str<'l>(line: &'l str, key: &str) -> Option<&'l str> {
-    let pat = format!("\"{key}\":\"");
-    let idx = line.find(&pat)? + pat.len();
-    let rest = &line[idx..];
-    Some(&rest[..rest.find('"')?])
-}
-
 /// Render the phase/imbalance breakdown of a profiler JSONL artifact
 /// ([`gcube_sim::ProfileCollector::to_jsonl`]'s output, header
 /// included). Works on the deterministic stream alone; the wall-clock
 /// sections appear only when the artifact carries `report_only` lines.
+/// A line that is not a JSON object, or a mistyped field, is an error; a
+/// missing counter reads as 0.
 pub fn render_profile(text: &str) -> Result<String, String> {
     let mut out = String::new();
     let mut rows = 0u64;
     let mut phases: Vec<(String, u64)> = Vec::new();
     let mut shards: Vec<String> = Vec::new();
     let mut worst: Option<(u64, u64)> = None; // (imbalance_milli, cycle)
-    for line in text.lines().map(str::trim).filter(|l| !l.is_empty()) {
+    let mut read = |line: &str| -> Result<(), String> {
         if let Some(parsed) = ArtifactMeta::parse(line) {
             let m = parsed?;
             let _ = writeln!(
@@ -442,22 +428,39 @@ pub fn render_profile(text: &str) -> Result<String, String> {
                 "provenance: {} artifact, GC({}, {}), seed {}, {} threads, {}",
                 m.kind, m.n, m.modulus, m.seed, m.threads, m.strategy
             );
-            continue;
+            return Ok(());
         }
-        if json_u64(line, "summary").is_none() && line.starts_with("{\"report_only\"") {
-            if let Some(p) = json_str(line, "phase") {
-                phases.push((p.to_string(), json_u64(line, "nanos").unwrap_or(0)));
-            } else if let Some(s) = json_u64(line, "shard") {
-                let barrier = json_u64(line, "barrier_nanos").unwrap_or(0);
-                let run = json_u64(line, "run_nanos").unwrap_or(0);
+        let f = Line::parse(line)?;
+        let num = |key: &str| f.opt::<u64>(key).map(Option::unwrap_or_default);
+        if f.lookup("summary").is_some() {
+            let _ = writeln!(
+                out,
+                "cycles {}  injected {}  moved {}  max in-flight {}",
+                num("cycles")?,
+                num("injected")?,
+                num("moved")?,
+                num("max_in_flight")?,
+            );
+            let _ = writeln!(
+                out,
+                "imbalance: avg {:.3}  max {:.3}  (1.000 = perfectly balanced)",
+                num("imbalance_avg_milli")? as f64 / 1000.0,
+                num("imbalance_max_milli")? as f64 / 1000.0,
+            );
+        } else if f.lookup("report_only").is_some() {
+            if let Some(p) = f.opt::<&str>("phase")? {
+                phases.push((p.to_string(), num("nanos")?));
+            } else if let Some(s) = f.opt::<u64>("shard")? {
+                let barrier = num("barrier_nanos")?;
+                let run = num("run_nanos")?;
                 shards.push(format!(
                     "  shard {s}: {} cycles, {} steal units ({} reqs), \
                      {}+{} moves (self+out), barrier {:.1}% of {:.3}ms",
-                    json_u64(line, "cycles").unwrap_or(0),
-                    json_u64(line, "steal_units").unwrap_or(0),
-                    json_u64(line, "planned_reqs").unwrap_or(0),
-                    json_u64(line, "moves_self").unwrap_or(0),
-                    json_u64(line, "moves_out").unwrap_or(0),
+                    num("cycles")?,
+                    num("steal_units")?,
+                    num("planned_reqs")?,
+                    num("moves_self")?,
+                    num("moves_out")?,
                     if run == 0 {
                         0.0
                     } else {
@@ -466,33 +469,20 @@ pub fn render_profile(text: &str) -> Result<String, String> {
                     run as f64 / 1e6,
                 ));
             }
-            continue;
+        } else if let Some(cycle) = f.opt::<u64>("cycle")? {
+            // A deterministic sample row (anything else is unrecognised).
+            rows += 1;
+            let imb = num("imbalance_milli")?;
+            if worst.is_none_or(|(w, _)| imb > w) {
+                worst = Some((imb, cycle));
+            }
         }
-        if line.starts_with("{\"summary\"") {
-            let _ = writeln!(
-                out,
-                "cycles {}  injected {}  moved {}  max in-flight {}",
-                json_u64(line, "cycles").unwrap_or(0),
-                json_u64(line, "injected").unwrap_or(0),
-                json_u64(line, "moved").unwrap_or(0),
-                json_u64(line, "max_in_flight").unwrap_or(0),
-            );
-            let _ = writeln!(
-                out,
-                "imbalance: avg {:.3}  max {:.3}  (1.000 = perfectly balanced)",
-                json_u64(line, "imbalance_avg_milli").unwrap_or(0) as f64 / 1000.0,
-                json_u64(line, "imbalance_max_milli").unwrap_or(0) as f64 / 1000.0,
-            );
-            continue;
-        }
-        // A deterministic sample row (anything else is unrecognised).
-        let Some(cycle) = json_u64(line, "cycle") else {
-            continue;
-        };
-        rows += 1;
-        let imb = json_u64(line, "imbalance_milli").unwrap_or(0);
-        if worst.is_none_or(|(w, _)| imb > w) {
-            worst = Some((imb, cycle));
+        Ok(())
+    };
+    for (i, line) in text.lines().enumerate() {
+        let line = line.trim();
+        if !line.is_empty() {
+            read(line).map_err(|e| format!("profile line {}: {e}", i + 1))?;
         }
     }
     let _ = writeln!(out, "sample windows: {rows}");
@@ -511,11 +501,7 @@ pub fn render_profile(text: &str) -> Result<String, String> {
                 out,
                 "  {p:<14} {:>10.3}ms  {:>5.1}%",
                 *n as f64 / 1e6,
-                if total == 0 {
-                    0.0
-                } else {
-                    100.0 * *n as f64 / total as f64
-                }
+                100.0 * *n as f64 / total.max(1) as f64
             );
         }
     }

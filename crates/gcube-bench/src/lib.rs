@@ -1,5 +1,4 @@
-//! Shared plumbing for the figure-regeneration binaries (`src/bin/fig*.rs`)
-//! and the Criterion micro-benchmarks (`benches/`).
+//! Shared plumbing for the figure-regeneration binaries (`src/bin/fig*.rs`).
 //!
 //! Every figure of the paper's evaluation maps to one binary:
 //!
@@ -496,12 +495,6 @@ pub fn collective_churn_sweep(algorithm: &dyn RoutingAlgorithm) -> Vec<ChurnPoin
         })
         .collect();
     run_churn_sweep(&configs, algorithm, threads())
-}
-
-/// Convenience: run one algorithm over one config (used by benches).
-pub fn run_one(config: SimConfig, algorithm: &dyn RoutingAlgorithm) -> SweepPoint {
-    let mut v = run_sweep(std::slice::from_ref(&config), algorithm, 1);
-    v.remove(0)
 }
 
 #[cfg(test)]

@@ -11,10 +11,13 @@
 //! refuse mismatched artifacts; a file *without* a header is treated as
 //! format v0 (pre-stamping, PR 3/4 era) for back-compat.
 //!
-//! Like the trace schema, the header is hand-rolled flat JSON — this
-//! workspace vendors no JSON library.
+//! The header is one flat JSON object, read through the shared lexer
+//! ([`crate::proto::Line`]); every field is required and no other is
+//! allowed.
 
 use std::fmt;
+
+use crate::proto::{Fields, Line};
 
 /// Current artifact format version written by this build.
 pub const ARTIFACT_FORMAT: u64 = 1;
@@ -108,72 +111,23 @@ impl ArtifactMeta {
     /// malformed or from an unsupported future format.
     pub fn parse(line: &str) -> Option<Result<ArtifactMeta, String>> {
         let line = line.trim();
-        if !Self::is_meta_line(line) {
-            return None;
-        }
-        Some(Self::parse_strict(line))
+        Self::is_meta_line(line).then(|| Self::parse_strict(line))
     }
 
     fn parse_strict(line: &str) -> Result<ArtifactMeta, String> {
-        let body = line
-            .strip_prefix('{')
-            .and_then(|s| s.strip_suffix('}'))
-            .ok_or_else(|| "meta line is not a JSON object".to_string())?;
-        let mut kind = None;
-        let mut format = None;
-        let mut n = None;
-        let mut modulus = None;
-        let mut seed = None;
-        let mut threads = None;
-        let mut strategy = None;
-        for field in body.split(',') {
-            let (key, value) = field
-                .split_once(':')
-                .ok_or_else(|| format!("malformed meta field {field:?}"))?;
-            let key = key
-                .trim()
-                .strip_prefix('"')
-                .and_then(|k| k.strip_suffix('"'))
-                .ok_or_else(|| format!("malformed meta key in {field:?}"))?;
-            let value = value.trim();
-            let num = || -> Result<u64, String> {
-                value
-                    .parse::<u64>()
-                    .map_err(|_| format!("meta field {key:?}: expected integer, got {value:?}"))
-            };
-            let text = || -> Result<&str, String> {
-                value
-                    .strip_prefix('"')
-                    .and_then(|v| v.strip_suffix('"'))
-                    .ok_or_else(|| format!("meta field {key:?}: expected string, got {value:?}"))
-            };
-            match key {
-                "meta" => {
-                    let t = text()?;
-                    kind = Some(
-                        ArtifactKind::parse(t)
-                            .ok_or_else(|| format!("unknown artifact kind {t:?}"))?,
-                    )
-                }
-                "format" => format = Some(num()?),
-                "n" => n = Some(num()?),
-                "modulus" => modulus = Some(num()?),
-                "seed" => seed = Some(num()?),
-                "threads" => threads = Some(num()?),
-                "strategy" => strategy = Some(text()?.to_string()),
-                other => return Err(format!("unknown meta field {other:?}")),
-            }
-        }
-        let missing = |k: &str| format!("meta header missing field {k:?}");
+        let f = Line::parse(line)?;
+        let kind = f.req("meta")?;
         let meta = ArtifactMeta {
-            kind: kind.ok_or_else(|| missing("meta"))?,
-            format: format.ok_or_else(|| missing("format"))?,
-            n: n.ok_or_else(|| missing("n"))?,
-            modulus: modulus.ok_or_else(|| missing("modulus"))?,
-            seed: seed.ok_or_else(|| missing("seed"))?,
-            threads: threads.ok_or_else(|| missing("threads"))?,
-            strategy: strategy.ok_or_else(|| missing("strategy"))?,
+            kind: ArtifactKind::parse(kind)
+                .ok_or_else(|| format!("unknown artifact kind {kind:?}"))?,
+            format: f.req("format")?,
+            n: f.req("n")?,
+            modulus: f.req("modulus")?,
+            seed: f.req("seed")?,
+            threads: f.req("threads")?,
+            strategy: f.req::<&str>("strategy")?.to_string(),
         };
+        f.expect_len(7)?;
         if meta.format > ARTIFACT_FORMAT {
             return Err(format!(
                 "artifact format {} is newer than supported format {ARTIFACT_FORMAT}",

@@ -37,7 +37,7 @@ use crate::config::SimConfig;
 use crate::engine::Simulator;
 use crate::injection::{FaultAction, FaultEvent, FaultKind, FaultTarget, PendingOp};
 use crate::metrics::{Histogram, Metrics, OpStat, WindowStat, HIST_BUCKETS, MAX_TREES};
-use crate::proto::{self, parse_json, JsonValue};
+use crate::proto::{self, Fields, JsonValue, Line, View};
 use crate::shard::Coordinator;
 use crate::soa::{LinkTable, NodeQueues, PacketStore, NIL};
 use crate::telemetry::{FaultBudgetMonitor, NullTelemetry};
@@ -71,34 +71,6 @@ fn u64_arr(xs: impl IntoIterator<Item = u64>) -> String {
     format!("[{}]", items.join(","))
 }
 
-fn field<'v>(v: &'v JsonValue, key: &str) -> Result<&'v JsonValue, String> {
-    v.get(key).ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn f_u64(v: &JsonValue, key: &str) -> Result<u64, String> {
-    field(v, key)?
-        .as_u64()
-        .ok_or_else(|| format!("field {key:?} must be an integer"))
-}
-
-fn f_bool(v: &JsonValue, key: &str) -> Result<bool, String> {
-    field(v, key)?
-        .as_bool()
-        .ok_or_else(|| format!("field {key:?} must be a boolean"))
-}
-
-fn f_str<'v>(v: &'v JsonValue, key: &str) -> Result<&'v str, String> {
-    field(v, key)?
-        .as_str()
-        .ok_or_else(|| format!("field {key:?} must be a string"))
-}
-
-fn f_arr<'v>(v: &'v JsonValue, key: &str) -> Result<&'v [JsonValue], String> {
-    field(v, key)?
-        .as_arr()
-        .ok_or_else(|| format!("field {key:?} must be an array"))
-}
-
 fn elem_u64(v: &JsonValue) -> Result<u64, String> {
     v.as_u64().ok_or_else(|| "expected an integer".to_string())
 }
@@ -107,9 +79,8 @@ fn u64s(items: &[JsonValue]) -> Result<Vec<u64>, String> {
     items.iter().map(elem_u64).collect()
 }
 
-fn rng_words(v: &JsonValue, key: &str) -> Result<[u64; 4], String> {
-    let words = u64s(f_arr(v, key)?)?;
-    words
+fn rng_words(v: &impl Fields, key: &str) -> Result<[u64; 4], String> {
+    u64s(v.req(key)?)?
         .try_into()
         .map_err(|_| format!("field {key:?} must hold exactly 4 RNG words"))
 }
@@ -139,13 +110,13 @@ fn hist_to_json(h: &Histogram) -> String {
 }
 
 fn hist_from_json(v: &JsonValue) -> Result<Histogram, String> {
-    let buckets: [u64; HIST_BUCKETS] = u64s(f_arr(v, "buckets")?)?
+    let buckets: [u64; HIST_BUCKETS] = u64s(v.req("buckets")?)?
         .try_into()
         .map_err(|_| format!("histogram must hold exactly {HIST_BUCKETS} buckets"))?;
     Ok(Histogram::from_parts(
         buckets,
-        f_u64(v, "count")?,
-        f_u64(v, "max")?,
+        v.req("count")?,
+        v.req("max")?,
     ))
 }
 
@@ -188,7 +159,7 @@ impl FaultsRepr {
 
     fn from_json(v: &JsonValue) -> Result<FaultsRepr, String> {
         let mut links = Vec::new();
-        for l in f_arr(v, "links")? {
+        for l in v.req::<&[JsonValue]>("links")? {
             let pair = l.as_arr().ok_or("fault link must be [lo, dim]")?;
             let [lo, dim] = pair else {
                 return Err("fault link must be [lo, dim]".into());
@@ -199,9 +170,9 @@ impl FaultsRepr {
             ));
         }
         Ok(FaultsRepr {
-            nodes: u64s(f_arr(v, "nodes")?)?,
+            nodes: u64s(v.req("nodes")?)?,
             links,
-            generation: f_u64(v, "generation")?,
+            generation: v.req("generation")?,
         })
     }
 
@@ -708,53 +679,41 @@ impl Checkpoint {
             ));
         }
 
-        let mut run = None;
-        let mut core = None;
-        let mut faults = None;
-        let mut injector = None;
-        let mut metrics = None;
-        let mut windows = None;
-        let mut packets = None;
-        let mut queues = None;
-        let mut collective = None;
+        let mut sections = Vec::new();
         let mut ended = false;
         for line in lines {
             if ended {
                 return Err("data after the end marker".into());
             }
-            let v = parse_json(line)?;
-            match f_str(&v, "section")? {
-                "run" => run = Some(v),
-                "core" => core = Some(v),
-                "faults" => faults = Some(v),
-                "injector" => injector = Some(v),
-                "metrics" => metrics = Some(v),
-                "windows" => windows = Some(v),
-                "packets" => packets = Some(v),
-                "queues" => queues = Some(v),
-                "collective" => collective = Some(v),
+            let v = Line::parse(line)?;
+            match v.req::<&str>("section")? {
                 "end" => ended = true,
+                "run" | "core" | "faults" | "injector" | "metrics" | "windows" | "packets"
+                | "queues" | "collective" => sections.push(v),
                 other => return Err(format!("unknown checkpoint section {other:?}")),
             }
         }
         if !ended {
             return Err("checkpoint file is truncated (no end marker)".into());
         }
-        let need = |name: &str, v: Option<JsonValue>| {
-            v.ok_or_else(|| format!("checkpoint missing section {name:?}"))
+        let section = |name: &str| {
+            sections
+                .iter()
+                .find(|s| s.req::<&str>("section") == Ok(name))
+                .ok_or_else(|| format!("checkpoint missing section {name:?}"))
         };
-        let run = need("run", run)?;
-        let core = need("core", core)?;
-        let faults = need("faults", faults)?;
-        let injector = need("injector", injector)?;
-        let metrics_v = need("metrics", metrics)?;
-        let windows = need("windows", windows)?;
-        let packets = need("packets", packets)?;
-        let queues = need("queues", queues)?;
-        let collective = need("collective", collective)?;
+        let run = section("run")?;
+        let core = section("core")?;
+        let faults = section("faults")?;
+        let injector = section("injector")?;
+        let metrics_v = section("metrics")?;
+        let windows = section("windows")?;
+        let packets = section("packets")?;
+        let queues = section("queues")?;
+        let collective = section("collective")?;
 
-        let config = proto::config_from_json(field(&run, "config")?)?;
-        let strategy = f_str(&run, "strategy")?.to_string();
+        let config = proto::config_from_json(run.req("config")?)?;
+        let strategy = run.req::<&str>("strategy")?.to_string();
         if (
             u64::from(config.n),
             config.modulus,
@@ -765,53 +724,50 @@ impl Checkpoint {
             return Err("checkpoint header disagrees with its run section".into());
         }
 
-        let synced = match f_arr(&core, "synced")? {
+        let synced = match core.req::<&[JsonValue]>("synced")? {
             [a, b] => (elem_u64(a)?, elem_u64(b)?),
             _ => return Err("field \"synced\" must be [truth_gen, view_gen]".into()),
         };
-        let converge_at = match field(&core, "converge_at")? {
-            JsonValue::Null => None,
-            f => Some(
-                f.as_u64()
-                    .ok_or("field \"converge_at\" must be an integer or null")?,
-            ),
+        let converge_at = match core.lookup("converge_at") {
+            Some(View::Null) => None,
+            _ => Some(core.req("converge_at")?),
         };
         let monitor_state =
-            HealthState::from_str(f_str(&core, "monitor_state")?).ok_or("bad monitor_state")?;
+            HealthState::from_str(core.req("monitor_state")?).ok_or("bad monitor_state")?;
 
         let mut pending = Vec::new();
-        for p in f_arr(&injector, "pending")? {
+        for p in injector.req::<&[JsonValue]>("pending")? {
             pending.push((
-                f_u64(p, "cycle")?,
-                action_from_str(f_str(p, "action")?)?,
-                proto::target_from_str(f_str(p, "target")?)?,
-                proto::kind_from_str(f_str(p, "kind")?)?,
+                p.req("cycle")?,
+                action_from_str(p.req("action")?)?,
+                proto::target_from_str(p.req("target")?)?,
+                proto::kind_from_str(p.req("kind")?)?,
             ));
         }
         let mut fault_trace = Vec::new();
-        for e in f_arr(&injector, "applied")? {
+        for e in injector.req::<&[JsonValue]>("applied")? {
             fault_trace.push(FaultEvent {
-                cycle: f_u64(e, "cycle")?,
-                action: action_from_str(f_str(e, "action")?)?,
-                target: proto::target_from_str(f_str(e, "target")?)?,
+                cycle: e.req("cycle")?,
+                action: action_from_str(e.req("action")?)?,
+                target: proto::target_from_str(e.req("target")?)?,
             });
         }
 
         let mut m = Metrics::default();
         macro_rules! get {
             ($v:expr; $($f:ident),*) => {
-                $( m.$f = f_u64($v, stringify!($f))?; )*
+                $( m.$f = $v.req(stringify!($f))?; )*
             };
         }
         with_metric_fields!(get, &metrics_v);
-        m.tree_routes = u64s(f_arr(&metrics_v, "tree_routes")?)?
+        m.tree_routes = u64s(metrics_v.req("tree_routes")?)?
             .try_into()
             .map_err(|_| format!("tree_routes must hold exactly {MAX_TREES} counters"))?;
-        m.latency_hist = hist_from_json(field(&metrics_v, "latency_hist")?)?;
-        m.hops_hist = hist_from_json(field(&metrics_v, "hops_hist")?)?;
+        m.latency_hist = hist_from_json(metrics_v.req("latency_hist")?)?;
+        m.hops_hist = hist_from_json(metrics_v.req("hops_hist")?)?;
 
         let mut window_stats = Vec::new();
-        for w in f_arr(&windows, "items")? {
+        for w in windows.req::<&[JsonValue]>("items")? {
             let cols = u64s(w.as_arr().ok_or("window entry must be an array")?)?;
             let [start, end, injected, delivered, dropped, tree_switches, collective_delivered] =
                 cols[..]
@@ -829,14 +785,14 @@ impl Checkpoint {
             });
         }
 
-        let arena = f_u64(&packets, "arena")? as usize;
+        let arena = packets.req::<u64>("arena")? as usize;
         let to_u32 = |x: u64| u32::try_from(x).map_err(|_| "slot out of u32 range".to_string());
-        let free = u64s(f_arr(&packets, "free")?)?
+        let free = u64s(packets.req("free")?)?
             .into_iter()
             .map(to_u32)
             .collect::<Result<Vec<u32>, String>>()?;
         let mut live = Vec::new();
-        for p in f_arr(&packets, "live")? {
+        for p in packets.req::<&[JsonValue]>("live")? {
             let cols = p.as_arr().ok_or("live packet must be an array")?;
             let [slot, id, injected_at, hop_idx, hops_taken, planned_hops, reroutes, route] = cols
             else {
@@ -855,7 +811,7 @@ impl Checkpoint {
         }
 
         let mut queue_items = Vec::new();
-        for q in f_arr(&queues, "items")? {
+        for q in queues.req::<&[JsonValue]>("items")? {
             let pair = q.as_arr().ok_or("queue entry must be [node, [slots]]")?;
             let [node, slots] = pair else {
                 return Err("queue entry must be [node, [slots]]".into());
@@ -870,7 +826,7 @@ impl Checkpoint {
         }
 
         let mut ledger = Vec::new();
-        for e in f_arr(&collective, "ledger")? {
+        for e in collective.req::<&[JsonValue]>("ledger")? {
             ledger.push(match e {
                 JsonValue::Null => None,
                 other => {
@@ -883,7 +839,7 @@ impl Checkpoint {
             });
         }
         let mut ops = Vec::new();
-        for o in f_arr(&collective, "ops")? {
+        for o in collective.req::<&[JsonValue]>("ops")? {
             let cols = u64s(o.as_arr().ok_or("op entry must be an array")?)?;
             let [op, root, started, expected, delivered, dropped, last_delivery] = cols[..] else {
                 return Err("op entry must hold 7 counters".into());
@@ -899,39 +855,39 @@ impl Checkpoint {
             });
         }
         let mut tree_cache = Vec::new();
-        for t in f_arr(&collective, "trees")? {
+        for t in collective.req::<&[JsonValue]>("trees")? {
             tree_cache.push(TreeRepr {
-                class: f_u64(t, "class")?,
-                root: f_u64(t, "root")?,
-                generation: f_u64(t, "generation")?,
-                regrafted: f_u64(t, "regrafted")?,
-                reattached: f_u64(t, "reattached")?,
-                lost: f_u64(t, "lost")?,
-                rebuilt: f_bool(t, "rebuilt")?,
-                parent: u64s(f_arr(t, "parent")?)?,
-                depth: u64s(f_arr(t, "depth")?)?,
-                order: u64s(f_arr(t, "order")?)?,
+                class: t.req("class")?,
+                root: t.req("root")?,
+                generation: t.req("generation")?,
+                regrafted: t.req("regrafted")?,
+                reattached: t.req("reattached")?,
+                lost: t.req("lost")?,
+                rebuilt: t.req("rebuilt")?,
+                parent: u64s(t.req("parent")?)?,
+                depth: u64s(t.req("depth")?)?,
+                order: u64s(t.req("order")?)?,
             });
         }
 
         Ok(Checkpoint {
             config,
             strategy,
-            trees: f_u64(&run, "trees")? as usize,
-            trace_mark: f_u64(&run, "trace_mark")?,
-            cycle: f_u64(&core, "cycle")?,
-            done: f_bool(&core, "done")?,
-            ended_at: f_u64(&core, "ended_at")?,
-            next_id: f_u64(&core, "next_id")?,
-            in_flight: f_u64(&core, "in_flight")?,
+            trees: run.req::<u64>("trees")? as usize,
+            trace_mark: run.req("trace_mark")?,
+            cycle: core.req("cycle")?,
+            done: core.req("done")?,
+            ended_at: core.req("ended_at")?,
+            next_id: core.req("next_id")?,
+            in_flight: core.req("in_flight")?,
             converge_at,
             synced,
-            traffic_rng: rng_words(&core, "traffic_rng")?,
-            injector_rng: rng_words(&core, "injector_rng")?,
+            traffic_rng: rng_words(core, "traffic_rng")?,
+            injector_rng: rng_words(core, "injector_rng")?,
             monitor_state,
-            monitor_downgraded: f_bool(&core, "monitor_downgraded")?,
-            truth: FaultsRepr::from_json(field(&faults, "truth")?)?,
-            view: FaultsRepr::from_json(field(&faults, "view")?)?,
+            monitor_downgraded: core.req("monitor_downgraded")?,
+            truth: FaultsRepr::from_json(faults.req("truth")?)?,
+            view: FaultsRepr::from_json(faults.req("view")?)?,
             pending,
             fault_trace,
             metrics: m,

@@ -1,17 +1,27 @@
-//! Wire protocol for routing-as-a-service: newline-delimited JSON.
+//! Wire protocol for routing-as-a-service: newline-delimited JSON, and the
+//! workspace's one JSON reader.
 //!
 //! The daemon ([`crate::server`]) speaks one JSON object per line, both
 //! directions. This module owns everything about that surface that is
-//! *not* connection handling: a small recursive-descent JSON reader
-//! ([`JsonValue`] — the workspace vendors no JSON library, and the flat
-//! field-splitting parser used for artifact headers cannot read nested
-//! objects), the [`SimConfig`] codec, the stable spellings for fault
-//! kinds and targets (shared with the CLI and the checkpoint codec), and
-//! the typed [`Request`] grammar.
+//! *not* connection handling: the JSON lexer every artifact reader shares
+//! (the workspace vendors no JSON library), the [`SimConfig`] codec, the
+//! stable spellings for fault kinds and targets (shared with the CLI and
+//! the checkpoint codec), and the typed [`Request`] grammar.
 //!
-//! Numbers ride as raw text ([`JsonValue::Num`]) until a caller asks for
-//! a concrete type: `u64` seeds round-trip exactly instead of detouring
-//! through `f64` and losing the top bits.
+//! The lexer has two entry points. [`parse_json`] decodes a whole document
+//! into an owned [`JsonValue`] tree. [`Line`] reads one JSONL object and
+//! keeps its keys, numbers and escape-free strings as slices of the line,
+//! so the trace reader makes no heap allocation per field. Both go through
+//! the same scanner: strings are scanned once, and nesting deeper than
+//! `MAX_DEPTH` (64) is an error, not a stack overflow. [`Fields`] gives both
+//! forms one set of typed getters with one wording for every error.
+//!
+//! Numbers ride as raw text until a caller asks for a concrete type:
+//! `u64` seeds round-trip exactly instead of detouring through `f64` and
+//! losing the top bits.
+
+use std::borrow::Cow;
+use std::cell::Cell;
 
 use crate::config::{CollectiveOp, KnowledgeModel, SimConfig};
 use crate::injection::{CategoryMix, FaultKind, FaultSchedule, FaultTarget, TimedFault};
@@ -19,6 +29,11 @@ use crate::traffic::TrafficPattern;
 use gcube_topology::{LinkId, NodeId};
 
 // --- JSON value ---------------------------------------------------------
+
+/// Deepest nesting of arrays and objects the lexer accepts. Deeper input
+/// is a parse error, so a hostile line cannot overflow the stack of the
+/// daemon thread reading it; the deepest artifact written here nests 4.
+const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value. Object fields keep their wire order (a `Vec`, not
 /// a map): requests are small, and order-preservation makes round-trip
@@ -48,44 +63,41 @@ impl JsonValue {
         }
     }
 
+    /// A borrowed look at this value, as the typed getters see it.
+    #[inline]
+    pub fn view(&self) -> View<'_> {
+        match self {
+            JsonValue::Null => View::Null,
+            JsonValue::Bool(b) => View::Bool(*b),
+            JsonValue::Num(raw) => View::Num(raw),
+            JsonValue::Str(s) => View::Str(s),
+            JsonValue::Arr(_) | JsonValue::Obj(_) => View::Tree(self),
+        }
+    }
+
     /// The string payload, for [`JsonValue::Str`].
     pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
+        FromView::from_view(self.view())
     }
 
     /// The boolean payload, for [`JsonValue::Bool`].
     pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
+        FromView::from_view(self.view())
     }
 
     /// The number as `u64` (exact; rejects floats and negatives).
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonValue::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
+        FromView::from_view(self.view())
     }
 
     /// The number as `f64`.
     pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
+        FromView::from_view(self.view())
     }
 
     /// The elements, for [`JsonValue::Arr`].
     pub fn as_arr(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(items) => Some(items),
-            _ => None,
-        }
+        FromView::from_view(self.view())
     }
 
     /// Whether this is JSON `null`.
@@ -94,211 +106,468 @@ impl JsonValue {
     }
 }
 
+/// A borrowed look at one JSON value: what the typed getters convert.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum View<'v> {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A number's raw text.
+    Num(&'v str),
+    /// A string, unescaped.
+    Str(&'v str),
+    /// An array or an object.
+    Tree(&'v JsonValue),
+}
+
+/// A type a JSON value can be read as, through [`Fields::req`] and
+/// [`Fields::opt`].
+pub trait FromView<'v>: Sized {
+    /// How a mistyped-field error names the expected type.
+    const WHAT: &'static str;
+    /// The value as `Self`, if it has that type.
+    fn from_view(v: View<'v>) -> Option<Self>;
+}
+
+/// `impl FromView` for a type: its name in errors, and the one view it
+/// reads.
+macro_rules! from_view {
+    ($($t:ty => $what:literal, $view:pat => $read:expr;)*) => {$(
+        impl<'v> FromView<'v> for $t {
+            const WHAT: &'static str = $what;
+            #[inline]
+            fn from_view(v: View<'v>) -> Option<$t> {
+                match v {
+                    $view => $read,
+                    _ => None,
+                }
+            }
+        }
+    )*};
+}
+
+from_view! {
+    u64 => "an unsigned integer", View::Num(raw) => raw.parse().ok();
+    u32 => "an unsigned integer below 2^32", View::Num(raw) => raw.parse().ok();
+    f64 => "a number", View::Num(raw) => raw.parse().ok();
+    bool => "a boolean", View::Bool(b) => Some(b);
+    &'v str => "a string", View::Str(s) => Some(s);
+    &'v [JsonValue] => "an array", View::Tree(JsonValue::Arr(items)) => Some(items);
+    &'v JsonValue => "an object", View::Tree(obj @ JsonValue::Obj(_)) => Some(obj);
+}
+
+/// Typed field access shared by every reader, for owned objects
+/// ([`JsonValue`]) and borrowed lines ([`Line`]) alike.
+pub trait Fields {
+    /// The value under `key` (its first occurrence), if present.
+    fn lookup(&self, key: &str) -> Option<View<'_>>;
+
+    /// Field `key` as `T`. A missing or mistyped field is an error that
+    /// names the key.
+    fn req<'s, T: FromView<'s>>(&'s self, key: &str) -> Result<T, String> {
+        let v = self
+            .lookup(key)
+            .ok_or_else(|| format!("missing field {key:?}"))?;
+        T::from_view(v).ok_or_else(|| format!("field {key:?} must be {}", T::WHAT))
+    }
+
+    /// Like [`Fields::req`], but a missing or `null` field is `None`.
+    fn opt<'s, T: FromView<'s>>(&'s self, key: &str) -> Result<Option<T>, String> {
+        match self.lookup(key) {
+            None | Some(View::Null) => Ok(None),
+            Some(_) => self.req(key).map(Some),
+        }
+    }
+}
+
+impl Fields for JsonValue {
+    #[inline]
+    fn lookup(&self, key: &str) -> Option<View<'_>> {
+        self.get(key).map(JsonValue::view)
+    }
+}
+
 /// Parse one JSON document (object, array, or scalar). Trailing
 /// non-whitespace is an error — a line holds exactly one value.
 pub fn parse_json(text: &str) -> Result<JsonValue, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
-    }
+    let mut lx = Lexer::new(text);
+    let v = lx.value(0)?.into_owned();
+    lx.end()?;
     Ok(v)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// One JSONL object, read without copying: keys, numbers and escape-free
+/// strings are slices of the line; only an escaped string or a nested
+/// array or object is decoded into an owned value. Keys are compared as
+/// written, so an escaped key matches no field name. Read the fields
+/// through [`Fields`].
+#[derive(Debug, Default)]
+pub struct Line<'a> {
+    fields: Vec<(&'a str, Lexed<'a>)>,
+    /// Where the next lookup starts: readers mostly ask for fields in the
+    /// order they were written.
+    next: Cell<usize>,
 }
 
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
+impl<'a> Line<'a> {
+    /// Read `line`, which must hold exactly one JSON object.
+    pub fn parse(line: &'a str) -> Result<Line<'a>, String> {
+        let mut fields = Line::default();
+        fields.read(line)?;
+        Ok(fields)
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
+    /// Like [`Line::parse`], but into this record's storage, so a reader
+    /// of many lines allocates once.
+    pub fn read(&mut self, line: &'a str) -> Result<(), String> {
+        let fields = &mut self.fields;
+        fields.clear();
+        self.next.set(0);
+        let mut lx = Lexer::new(line);
+        lx.expect(b'{')?;
+        lx.members(b'}', |lx| {
+            let key = lx.key()?;
+            fields.push((key, lx.value(1)?));
             Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {}, found {:?}",
-                b as char,
-                self.pos,
-                self.peek().map(|c| c as char)
-            ))
-        }
+        })?;
+        Ok(lx.end()?)
     }
 
-    fn value(&mut self) -> Result<JsonValue, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b't') => self.keyword("true", JsonValue::Bool(true)),
-            Some(b'f') => self.keyword("false", JsonValue::Bool(false)),
-            Some(b'n') => self.keyword("null", JsonValue::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!(
-                "unexpected {:?} at byte {}",
-                other.map(|c| c as char),
-                self.pos
+    /// Reject a line that holds anything but `n` fields. After the caller
+    /// reads `n` distinct required keys, this leaves no room for an
+    /// unknown or duplicated field.
+    pub fn expect_len(&self, n: usize) -> Result<(), String> {
+        match self.fields.len() {
+            len if len == n => Ok(()),
+            len => Err(format!(
+                "{len} fields where {n} belong (unknown or repeated field)"
             )),
         }
     }
+}
 
-    fn keyword(&mut self, word: &str, v: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad keyword at byte {}", self.pos))
+impl Fields for Line<'_> {
+    #[inline]
+    fn lookup(&self, key: &str) -> Option<View<'_>> {
+        // Keys are short: a byte loop beats a call to `memcmp`.
+        let same = |(k, _): &(&str, _)| k.len() == key.len() && k.bytes().eq(key.bytes());
+        let hint = self.next.get();
+        let i = match self.fields.get(hint) {
+            Some(f) if same(f) => hint,
+            _ => self.fields.iter().position(same)?,
+        };
+        self.next.set(i + 1);
+        Some(self.fields[i].1.view())
+    }
+}
+
+/// One lexed value: borrowed from the input when it can be, owned when
+/// decoding had to copy (an escaped string, an array or an object).
+#[derive(Debug)]
+enum Lexed<'a> {
+    Borrowed(View<'a>),
+    Owned(JsonValue),
+}
+
+impl Lexed<'_> {
+    #[inline]
+    fn view(&self) -> View<'_> {
+        match self {
+            Lexed::Borrowed(v) => *v,
+            Lexed::Owned(v) => v.view(),
         }
     }
 
-    fn number(&mut self) -> Result<JsonValue, String> {
+    fn into_owned(self) -> JsonValue {
+        match self {
+            Lexed::Owned(v) => v,
+            Lexed::Borrowed(View::Null) => JsonValue::Null,
+            Lexed::Borrowed(View::Bool(b)) => JsonValue::Bool(b),
+            Lexed::Borrowed(View::Num(raw)) => JsonValue::Num(raw.to_string()),
+            Lexed::Borrowed(View::Str(s)) => JsonValue::Str(s.to_string()),
+            Lexed::Borrowed(View::Tree(v)) => v.clone(),
+        }
+    }
+}
+
+/// Why lexing stopped, and at which byte. `Copy`, so the lexer's results
+/// carry no drop glue on the hot path; the entry points render it.
+#[derive(Clone, Copy, Debug)]
+struct Bad {
+    what: &'static str,
+    at: usize,
+}
+
+impl From<Bad> for String {
+    fn from(bad: Bad) -> String {
+        format!("{} at byte {}", bad.what, bad.at)
+    }
+}
+
+/// The scanner behind both entry points. Every method starts at a
+/// non-blank byte, and [`Lexer::value`] also eats the blanks after it.
+struct Lexer<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Lexer<'a> {
+    fn new(text: &'a str) -> Lexer<'a> {
+        let mut lx = Lexer { text, pos: 0 };
+        lx.skip_ws();
+        lx
+    }
+
+    fn bad<T>(&self, what: &'static str) -> Result<T, Bad> {
+        Err(Bad { what, at: self.pos })
+    }
+
+    #[inline]
+    fn rest(&self) -> &'a [u8] {
+        &self.text.as_bytes()[self.pos..]
+    }
+
+    #[inline]
+    fn skip_ws(&mut self) {
+        self.pos += self
+            .rest()
+            .iter()
+            .take_while(|&&b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
+            .count();
+    }
+
+    #[inline]
+    fn peek(&self) -> Option<u8> {
+        self.rest().first().copied()
+    }
+
+    #[inline]
+    fn eat(&mut self, b: u8) -> bool {
+        let hit = self.peek() == Some(b);
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    fn expect(&mut self, b: u8) -> Result<(), Bad> {
+        match b {
+            _ if self.eat(b) => Ok(()),
+            b'{' => self.bad("expected '{'"),
+            b':' => self.bad("expected ':'"),
+            _ => self.bad("expected '\"'"),
+        }
+    }
+
+    fn end(&mut self) -> Result<(), Bad> {
+        self.skip_ws();
+        match self.peek() {
+            None => Ok(()),
+            Some(_) => self.bad("trailing data"),
+        }
+    }
+
+    /// One value at nesting `depth` (the number of enclosing arrays and
+    /// objects). This and the scalar lexers below are forced inline: the
+    /// flat-line loop of [`Line::parse`] is the trace reader's hot path,
+    /// and the recursion through [`Lexer::nested`] otherwise keeps them
+    /// out of it.
+    #[inline(always)]
+    fn value(&mut self, depth: usize) -> Result<Lexed<'a>, Bad> {
+        let v = match self.peek() {
+            Some(b'{' | b'[') => Lexed::Owned(self.nested(depth)?),
+            _ => self.scalar()?,
+        };
+        self.skip_ws();
+        Ok(v)
+    }
+
+    /// A string, number, boolean or `null`.
+    #[inline(always)]
+    fn scalar(&mut self) -> Result<Lexed<'a>, Bad> {
+        Ok(match self.peek() {
+            Some(b'"') => match self.string()? {
+                Cow::Borrowed(s) => Lexed::Borrowed(View::Str(s)),
+                Cow::Owned(s) => Lexed::Owned(JsonValue::Str(s)),
+            },
+            Some(b't') => self.keyword("true", View::Bool(true))?,
+            Some(b'f') => self.keyword("false", View::Bool(false))?,
+            Some(b'n') => self.keyword("null", View::Null)?,
+            Some(b'-' | b'0'..=b'9') => Lexed::Borrowed(View::Num(self.number()?)),
+            Some(_) => return self.bad("unexpected character"),
+            None => return self.bad("unexpected end of input"),
+        })
+    }
+
+    fn keyword(&mut self, word: &str, v: View<'a>) -> Result<Lexed<'a>, Bad> {
+        if !self.rest().starts_with(word.as_bytes()) {
+            return self.bad("bad keyword");
+        }
+        self.pos += word.len();
+        Ok(Lexed::Borrowed(v))
+    }
+
+    /// A number's raw text, checked against JSON's grammar (leading zeros
+    /// aside): `-?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?`.
+    #[inline(always)]
+    fn number(&mut self) -> Result<&'a str, Bad> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+        self.eat(b'-');
+        let mut ok = self.digits();
+        if ok && self.eat(b'.') {
+            ok = self.digits();
         }
-        while self.peek().is_some_and(|c| {
-            c.is_ascii_digit() || c == b'.' || c == b'e' || c == b'E' || c == b'+' || c == b'-'
-        }) {
-            self.pos += 1;
+        if ok && (self.eat(b'e') || self.eat(b'E')) {
+            if !self.eat(b'+') {
+                self.eat(b'-');
+            }
+            ok = self.digits();
         }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        if raw.is_empty() || raw == "-" {
-            return Err(format!("malformed number at byte {start}"));
+        if !ok {
+            return self.bad("malformed number");
         }
-        // Validate eagerly so junk fails at parse time, not at access time.
-        raw.parse::<f64>()
-            .map_err(|_| format!("malformed number {raw:?} at byte {start}"))?;
-        Ok(JsonValue::Num(raw.to_string()))
+        Ok(&self.text[start..self.pos])
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// Eat a run of digits; whether there was at least one.
+    #[inline]
+    fn digits(&mut self) -> bool {
+        let n = self
+            .rest()
+            .iter()
+            .take_while(|b| b.is_ascii_digit())
+            .count();
+        self.pos += n;
+        n > 0
+    }
+
+    /// A string, scanned once: borrowed when it holds no escape, decoded
+    /// into an owned copy when it does. `"` and `\` are ASCII, so every
+    /// slice taken between them falls on a character boundary.
+    #[inline(always)]
+    fn string(&mut self) -> Result<Cow<'a, str>, Bad> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut owned: Option<String> = None;
         loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not emitted by any writer
-                            // in this workspace; map them to U+FFFD.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(format!("bad escape \\{}", other as char)),
+            let rest = self.rest();
+            let Some(i) = rest.iter().position(|&b| b == b'"' || b == b'\\') else {
+                return self.bad("unterminated string");
+            };
+            let run = &self.text[self.pos..self.pos + i];
+            self.pos += i + 1;
+            if rest[i] == b'"' {
+                return Ok(match owned {
+                    None => Cow::Borrowed(run),
+                    Some(mut s) => {
+                        s.push_str(run);
+                        Cow::Owned(s)
                     }
+                });
+            }
+            let s = owned.get_or_insert_with(String::new);
+            s.push_str(run);
+            s.push(self.escape()?);
+        }
+    }
+
+    /// The character an escape stands for; the backslash is already eaten.
+    fn escape(&mut self) -> Result<char, Bad> {
+        let Some(esc) = self.peek() else {
+            return self.bad("unterminated string");
+        };
+        self.pos += 1;
+        Ok(match esc {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'b' => '\u{8}',
+            b'f' => '\u{c}',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'u' => {
+                let hex = self.text.get(self.pos..self.pos + 4);
+                let Some(code) = hex.and_then(|h| u32::from_str_radix(h, 16).ok()) else {
+                    return self.bad("bad \\u escape");
+                };
+                self.pos += 4;
+                // Surrogate pairs are not emitted by any writer in this
+                // workspace; map them to U+FFFD.
+                char::from_u32(code).unwrap_or('\u{fffd}')
+            }
+            _ => return self.bad("bad escape"),
+        })
+    }
+
+    /// `"key":` — an object member's key as written, up to the start of
+    /// its value.
+    #[inline(always)]
+    fn key(&mut self) -> Result<&'a str, Bad> {
+        let start = self.pos + 1;
+        self.string()?;
+        let key = &self.text[start..self.pos - 1];
+        self.colon()?;
+        Ok(key)
+    }
+
+    fn colon(&mut self) -> Result<(), Bad> {
+        self.skip_ws();
+        self.expect(b':')?;
+        self.skip_ws();
+        Ok(())
+    }
+
+    /// The comma-separated members of an array or object whose opening
+    /// bracket was just eaten, through the closing `close`.
+    fn members(
+        &mut self,
+        close: u8,
+        mut member: impl FnMut(&mut Self) -> Result<(), Bad>,
+    ) -> Result<(), Bad> {
+        self.skip_ws();
+        if self.eat(close) {
+            return Ok(());
+        }
+        loop {
+            member(self)?;
+            match self.peek() {
+                Some(b',') => {
+                    self.pos += 1;
+                    self.skip_ws();
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let ch = rest.chars().next().unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                Some(c) if c == close => {
+                    self.pos += 1;
+                    return Ok(());
                 }
+                _ => return self.bad("expected ',' or a closing bracket"),
             }
         }
     }
 
-    fn object(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Obj(fields));
+    /// An array or object, decoded.
+    #[cold]
+    #[inline(never)]
+    fn nested(&mut self, depth: usize) -> Result<JsonValue, Bad> {
+        if depth >= MAX_DEPTH {
+            return self.bad("arrays and objects nested too deep");
         }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            fields.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Obj(fields));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or '}}' in object, found {:?}",
-                        other.map(|c| c as char)
-                    ))
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or ']' in array, found {:?}",
-                        other.map(|c| c as char)
-                    ))
-                }
-            }
+        let open = self.peek();
+        self.pos += 1;
+        if open == Some(b'{') {
+            let mut fields = Vec::new();
+            self.members(b'}', |lx| {
+                let key = lx.string()?.into_owned();
+                lx.colon()?;
+                fields.push((key, lx.value(depth + 1)?.into_owned()));
+                Ok(())
+            })?;
+            Ok(JsonValue::Obj(fields))
+        } else {
+            let mut items = Vec::new();
+            self.members(b']', |lx| {
+                items.push(lx.value(depth + 1)?.into_owned());
+                Ok(())
+            })?;
+            Ok(JsonValue::Arr(items))
         }
     }
 }
@@ -472,66 +741,44 @@ fn schedule_to_json(s: &FaultSchedule) -> String {
 }
 
 fn schedule_from_json(v: &JsonValue) -> Result<FaultSchedule, String> {
-    let ty = v
-        .get("type")
-        .and_then(JsonValue::as_str)
-        .ok_or("schedule needs a \"type\"")?;
-    match ty {
+    let kind = |v: &JsonValue| -> Result<FaultKind, String> {
+        v.opt("kind")?
+            .map_or(Ok(FaultKind::Permanent), kind_from_str)
+    };
+    match v.req::<&str>("type")? {
         "none" => Ok(FaultSchedule::None),
         "bernoulli" => {
-            let rate = v
-                .get("rate")
-                .and_then(JsonValue::as_f64)
-                .ok_or("bernoulli schedule needs a numeric \"rate\"")?;
-            let kind = match v.get("kind").and_then(JsonValue::as_str) {
-                Some(s) => kind_from_str(s)?,
-                None => FaultKind::Permanent,
-            };
-            let mix = match v.get("mix").and_then(JsonValue::as_arr) {
-                Some([a, b, c]) => CategoryMix {
-                    a: a.as_f64().ok_or("mix entries must be numbers")?,
-                    b: b.as_f64().ok_or("mix entries must be numbers")?,
-                    c: c.as_f64().ok_or("mix entries must be numbers")?,
-                },
+            let mix = match v.opt::<&[JsonValue]>("mix")? {
+                Some([a, b, c]) => {
+                    let w = |x: &JsonValue| x.as_f64().ok_or("mix entries must be numbers");
+                    CategoryMix {
+                        a: w(a)?,
+                        b: w(b)?,
+                        c: w(c)?,
+                    }
+                }
                 Some(_) => return Err("mix must have exactly three weights".into()),
                 None => CategoryMix::default(),
             };
-            let node_fraction = match v.get("node_fraction") {
-                Some(f) => f.as_f64().ok_or("node_fraction must be a number")?,
-                None => 0.5,
-            };
             Ok(FaultSchedule::Bernoulli {
-                rate,
-                kind,
+                rate: v.req("rate")?,
+                kind: kind(v)?,
                 mix,
-                node_fraction,
+                node_fraction: v.opt("node_fraction")?.unwrap_or(0.5),
             })
         }
-        "scripted" => {
-            let events = v
-                .get("events")
-                .and_then(JsonValue::as_arr)
-                .ok_or("scripted schedule needs an \"events\" array")?;
-            let mut out = Vec::with_capacity(events.len());
-            for e in events {
-                out.push(TimedFault {
-                    cycle: e
-                        .get("cycle")
-                        .and_then(JsonValue::as_u64)
-                        .ok_or("scripted event needs a \"cycle\"")?,
-                    target: target_from_str(
-                        e.get("target")
-                            .and_then(JsonValue::as_str)
-                            .ok_or("scripted event needs a \"target\"")?,
-                    )?,
-                    kind: match e.get("kind").and_then(JsonValue::as_str) {
-                        Some(s) => kind_from_str(s)?,
-                        None => FaultKind::Permanent,
-                    },
-                });
-            }
-            Ok(FaultSchedule::Scripted(out))
-        }
+        "scripted" => v
+            .req::<&[JsonValue]>("events")?
+            .iter()
+            .map(|e| {
+                Ok(TimedFault {
+                    cycle: e.req("cycle")?,
+                    target: target_from_str(e.req("target")?)?,
+                    kind: kind(e)?,
+                })
+            })
+            .collect::<Result<_, String>>()
+            .map(FaultSchedule::Scripted),
         other => Err(format!("unknown schedule type {other:?}")),
     }
 }
@@ -573,87 +820,43 @@ pub fn config_to_json(cfg: &SimConfig) -> String {
 /// required; every other field defaults as [`SimConfig::new`] does, so a
 /// client only sends what it overrides.
 pub fn config_from_json(v: &JsonValue) -> Result<SimConfig, String> {
-    let req_u64 = |key: &str| -> Result<u64, String> {
-        v.get(key)
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| format!("config needs an integer {key:?}"))
-    };
-    let n = req_u64("n")?;
-    if n > u64::from(u32::MAX) {
-        return Err("config field \"n\" out of range".into());
-    }
-    let mut cfg = SimConfig::new(n as u32, req_u64("modulus")?);
-    let opt_u64 = |key: &str| -> Result<Option<u64>, String> {
-        match v.get(key) {
-            None => Ok(None),
-            Some(JsonValue::Null) => Ok(None),
-            Some(f) => f
-                .as_u64()
-                .map(Some)
-                .ok_or_else(|| format!("config field {key:?} must be an integer")),
+    fn set<'v, T: FromView<'v>>(v: &'v JsonValue, key: &str, slot: &mut T) -> Result<(), String> {
+        if let Some(x) = v.opt(key)? {
+            *slot = x;
         }
-    };
-    if let Some(x) = opt_u64("inject_cycles")? {
-        cfg.inject_cycles = x;
+        Ok(())
     }
-    if let Some(x) = opt_u64("drain_cycles")? {
-        cfg.drain_cycles = x;
-    }
-    if let Some(x) = opt_u64("warmup_cycles")? {
-        cfg.warmup_cycles = x;
-    }
-    if let Some(f) = v.get("rate") {
-        cfg.injection_rate = f.as_f64().ok_or("config field \"rate\" must be a number")?;
-    }
-    if let Some(x) = opt_u64("seed")? {
-        cfg.seed = x;
-    }
-    if let Some(x) = opt_u64("faults")? {
+    let mut cfg = SimConfig::new(v.req("n")?, v.req("modulus")?);
+    set(v, "inject_cycles", &mut cfg.inject_cycles)?;
+    set(v, "drain_cycles", &mut cfg.drain_cycles)?;
+    set(v, "warmup_cycles", &mut cfg.warmup_cycles)?;
+    set(v, "rate", &mut cfg.injection_rate)?;
+    set(v, "seed", &mut cfg.seed)?;
+    set(v, "reroute_budget", &mut cfg.reroute_budget)?;
+    set(v, "window", &mut cfg.window)?;
+    set(v, "telemetry_interval", &mut cfg.telemetry_interval)?;
+    set(v, "collective_interval", &mut cfg.collective_interval)?;
+    cfg.window = cfg.window.max(1);
+    cfg.telemetry_interval = cfg.telemetry_interval.max(1);
+    cfg.collective_interval = cfg.collective_interval.max(1);
+    if let Some(x) = v.opt::<u64>("faults")? {
         cfg.faulty_nodes = x as usize;
     }
-    if let Some(p) = v.get("pattern") {
-        cfg.pattern = pattern_from_str(
-            p.as_str()
-                .ok_or("config field \"pattern\" must be a string")?,
-        )?;
+    if let Some(p) = v.opt("pattern")? {
+        cfg.pattern = pattern_from_str(p)?;
     }
-    cfg.buffer_capacity = opt_u64("buffer_capacity")?.map(|c| c as usize);
-    if let Some(s) = v.get("schedule") {
-        if !s.is_null() {
-            cfg.schedule = schedule_from_json(s)?;
-        }
+    cfg.buffer_capacity = v.opt::<u64>("buffer_capacity")?.map(|c| c as usize);
+    if let Some(s) = v.opt("schedule")? {
+        cfg.schedule = schedule_from_json(s)?;
     }
-    if let Some(k) = v.get("knowledge") {
-        cfg.knowledge = knowledge_from_str(
-            k.as_str()
-                .ok_or("config field \"knowledge\" must be a string")?,
-        )?;
+    if let Some(k) = v.opt("knowledge")? {
+        cfg.knowledge = knowledge_from_str(k)?;
     }
-    if let Some(x) = opt_u64("reroute_budget")? {
-        if x > u64::from(u32::MAX) {
-            return Err("config field \"reroute_budget\" out of range".into());
-        }
-        cfg.reroute_budget = x as u32;
-    }
-    cfg.ttl = opt_u64("ttl")?;
-    if let Some(x) = opt_u64("window")? {
-        cfg.window = x.max(1);
-    }
-    if let Some(x) = opt_u64("telemetry_interval")? {
-        cfg.telemetry_interval = x.max(1);
-    }
-    if let Some(c) = v.get("collective") {
-        cfg.collective = match c {
-            JsonValue::Null => None,
-            JsonValue::Str(s) => Some(
-                CollectiveOp::from_str(s).ok_or_else(|| format!("unknown collective op {s:?}"))?,
-            ),
-            _ => return Err("config field \"collective\" must be a string or null".into()),
-        };
-    }
-    if let Some(x) = opt_u64("collective_interval")? {
-        cfg.collective_interval = x.max(1);
-    }
+    cfg.ttl = v.opt("ttl")?;
+    cfg.collective = v
+        .opt("collective")?
+        .map(|s| CollectiveOp::from_str(s).ok_or_else(|| format!("unknown collective op {s:?}")))
+        .transpose()?;
     Ok(cfg)
 }
 
@@ -730,50 +933,27 @@ pub enum Request {
 impl Request {
     /// Parse one wire line.
     pub fn parse(line: &str) -> Result<Request, String> {
-        let v = parse_json(line)?;
-        let op = v
-            .get("op")
-            .and_then(JsonValue::as_str)
-            .ok_or("request needs an \"op\" string")?;
+        let v = Line::parse(line)?;
+        let op: &str = v.req("op")?;
         let session = || -> Result<String, String> {
-            let s = v
-                .get("session")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| format!("{op:?} request needs a \"session\" string"))?;
-            if s.is_empty() {
-                return Err("\"session\" must be non-empty".into());
+            match v.req::<&str>("session")? {
+                "" => Err("\"session\" must be non-empty".into()),
+                s => Ok(s.to_string()),
             }
-            Ok(s.to_string())
         };
-        let path = || -> Result<String, String> {
-            Ok(v.get("path")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| format!("{op:?} request needs a \"path\" string"))?
-                .to_string())
-        };
-        let force = v.get("force").and_then(JsonValue::as_bool).unwrap_or(false);
+        let text = |key: &str| v.opt::<&str>(key).map(|s| s.map(str::to_string));
+        let path = || text("path")?.ok_or_else(|| format!("{op:?} request needs a \"path\""));
+        let force = v.opt("force")?.unwrap_or(false);
         match op {
-            "open" => {
-                let config = config_from_json(
-                    v.get("config")
-                        .ok_or("open request needs a \"config\" object")?,
-                )?;
-                let strategy = v
-                    .get("strategy")
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or("auto")
-                    .to_string();
-                let trees = v.get("trees").and_then(JsonValue::as_u64).unwrap_or(2) as usize;
-                Ok(Request::Open {
-                    session: session()?,
-                    config,
-                    strategy,
-                    trees,
-                })
-            }
+            "open" => Ok(Request::Open {
+                session: session()?,
+                config: config_from_json(v.req("config")?)?,
+                strategy: text("strategy")?.unwrap_or_else(|| "auto".to_string()),
+                trees: v.opt::<u64>("trees")?.unwrap_or(2) as usize,
+            }),
             "step" => Ok(Request::Step {
                 session: session()?,
-                cycles: v.get("cycles").and_then(JsonValue::as_u64).unwrap_or(1),
+                cycles: v.opt("cycles")?.unwrap_or(1),
                 force,
             }),
             "run" => Ok(Request::Run {
@@ -791,14 +971,11 @@ impl Request {
             "telemetry" => Ok(Request::Telemetry {
                 session: session()?,
             }),
-            "close" => {
-                let opt = |key: &str| v.get(key).and_then(JsonValue::as_str).map(str::to_string);
-                Ok(Request::Close {
-                    session: session()?,
-                    trace: opt("trace"),
-                    telemetry: opt("telemetry"),
-                })
-            }
+            "close" => Ok(Request::Close {
+                session: session()?,
+                trace: text("trace")?,
+                telemetry: text("telemetry")?,
+            }),
             "shutdown" => Ok(Request::Shutdown),
             other => Err(format!("unknown op {other:?}")),
         }
@@ -988,5 +1165,82 @@ mod tests {
         assert!(
             Request::parse(r#"{"op":"open","session":"","config":{"n":6,"modulus":2}}"#).is_err()
         );
+    }
+
+    /// Nesting past `MAX_DEPTH` is a parse error on a thread with a
+    /// daemon connection's 2 MiB stack, not a stack overflow.
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(100_000);
+        let rejected = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let line = format!(r#"{{"op":"step","session":{deep}}}"#);
+                parse_json(&deep).is_err() && Request::parse(&line).is_err()
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(rejected);
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_json(&ok).is_ok());
+        let over = format!("[{ok}]");
+        assert!(parse_json(&over).is_err());
+    }
+
+    /// Strings are scanned once: a 4 MiB session id parses in linear time.
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        let session = "s".repeat(4 << 20);
+        let line = format!(r#"{{"op":"step","session":"{session}"}}"#);
+        let t = std::time::Instant::now();
+        let r = Request::parse(&line).unwrap();
+        assert!(
+            t.elapsed() < std::time::Duration::from_secs(1),
+            "{:?}",
+            t.elapsed()
+        );
+        assert_eq!(
+            r,
+            Request::Step {
+                session,
+                cycles: 1,
+                force: false,
+            }
+        );
+    }
+
+    /// Escapes decode in both entry points; a mistyped field is an error
+    /// that names it, and an extra field is refused.
+    #[test]
+    fn line_reader_borrows_and_checks_fields() {
+        let text = r#"{"a":1,"b":"x\"y","c":[1,{"d":null}],"e":true}"#;
+        let line = Line::parse(text).unwrap();
+        assert_eq!(line.req::<u64>("a"), Ok(1));
+        assert_eq!(line.req::<&str>("b"), Ok("x\"y"));
+        assert_eq!(line.req::<&[JsonValue]>("c").map(<[_]>::len), Ok(2));
+        assert_eq!(line.req::<bool>("e"), Ok(true));
+        assert_eq!(line.opt::<u64>("z"), Ok(None));
+        let err = line.req::<u64>("b").unwrap_err();
+        assert!(err.contains("\"b\""), "{err}");
+        assert!(line.expect_len(4).is_ok());
+        assert!(line.expect_len(3).is_err(), "an unread field is refused");
+        assert_eq!(
+            parse_json(text)
+                .unwrap()
+                .get("b")
+                .and_then(JsonValue::as_str),
+            Some("x\"y")
+        );
+        for junk in [
+            "",
+            "[]",
+            "{\"a\":1",
+            "{\"a\":01.}",
+            "{\"a\":\"\\u12\"}",
+            "{a:1}",
+        ] {
+            assert!(Line::parse(junk).is_err(), "{junk:?}");
+        }
     }
 }

@@ -13,10 +13,10 @@
 //! reported with the index and both versions of the first mismatching
 //! event.
 //!
-//! The JSONL side ([`parse_jsonl`]) is hand-rolled against the fixed flat
-//! schema emitted by [`TraceEvent::to_jsonl`] (this workspace vendors no
-//! JSON library). It is a strict parser for that schema, not a general
-//! JSON reader.
+//! The JSONL side ([`parse_jsonl`]) reads each line with the shared
+//! lexer's borrowed entry point ([`Line`]) and is strict about the schema
+//! [`TraceEvent::to_jsonl`] writes: an unknown, missing, duplicated or
+//! mistyped field is an error naming the line.
 
 use std::fmt;
 
@@ -26,6 +26,7 @@ use gcube_topology::NodeId;
 use crate::artifact::{ArtifactKind, ArtifactMeta};
 use crate::config::SimConfig;
 use crate::engine::Simulator;
+use crate::proto::{Fields, Line};
 use crate::strategy::RoutingAlgorithm;
 use crate::trace::{DropCause, TraceEvent, TraceEventKind, TraceSink};
 
@@ -165,6 +166,7 @@ pub fn parse_jsonl_with_meta(
 ) -> Result<(Option<ArtifactMeta>, Vec<TraceEvent>), ReplayError> {
     let mut meta = None;
     let mut events = Vec::new();
+    let mut fields = Line::default();
     for (i, line) in text.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() {
@@ -192,171 +194,54 @@ pub fn parse_jsonl_with_meta(
             meta = Some(m);
             continue;
         }
-        events.push(
-            parse_jsonl_line(line).map_err(|message| ReplayError::Parse {
-                line: i + 1,
-                message,
-            })?,
-        );
+        let event = fields.read(line).and_then(|()| event_from(&fields));
+        events.push(event.map_err(|message| ReplayError::Parse {
+            line: i + 1,
+            message,
+        })?);
     }
     Ok((meta, events))
 }
 
-/// Parse one line of the flat trace schema produced by
-/// [`TraceEvent::to_jsonl`].
-pub fn parse_jsonl_line(line: &str) -> Result<TraceEvent, String> {
-    let body = line
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| "not a JSON object".to_string())?;
-    let mut cycle = None;
-    let mut packet = None;
-    let mut node = None;
-    let mut event = None;
-    let mut dst = None;
-    let mut planned_hops = None;
-    let mut from = None;
-    let mut blocked = None;
-    let mut budget_left = None;
-    let mut cause = None;
-    let mut latency = None;
-    let mut hops = None;
-    let mut state = None;
-    let mut faults = None;
-    let mut tree = None;
-    let mut switches = None;
-    let mut exhausted = None;
-    let mut regrafted = None;
-    let mut reattached = None;
-    let mut lost = None;
-    let mut rebuilt = None;
-    for field in body.split(',') {
-        let (key, value) = field
-            .split_once(':')
-            .ok_or_else(|| format!("malformed field {field:?}"))?;
-        let key = key
-            .trim()
-            .strip_prefix('"')
-            .and_then(|k| k.strip_suffix('"'))
-            .ok_or_else(|| format!("malformed key in {field:?}"))?;
-        let value = value.trim();
-        let num = || -> Result<u64, String> {
-            value
-                .parse::<u64>()
-                .map_err(|_| format!("field {key:?}: expected integer, got {value:?}"))
-        };
-        let text = || -> Result<&str, String> {
-            value
-                .strip_prefix('"')
-                .and_then(|v| v.strip_suffix('"'))
-                .ok_or_else(|| format!("field {key:?}: expected string, got {value:?}"))
-        };
-        match key {
-            "cycle" => cycle = Some(num()?),
-            "packet" => packet = Some(num()?),
-            "node" => node = Some(NodeId(num()?)),
-            "event" => event = Some(text()?.to_string()),
-            "dst" => dst = Some(NodeId(num()?)),
-            "planned_hops" => planned_hops = Some(num()?),
-            "from" => from = Some(NodeId(num()?)),
-            "blocked" => blocked = Some(NodeId(num()?)),
-            "budget_left" => {
-                budget_left = Some(
-                    u32::try_from(num()?).map_err(|_| "budget_left out of range".to_string())?,
-                )
-            }
-            "cause" => {
-                let t = text()?;
-                cause = Some(
-                    DropCause::from_str(t).ok_or_else(|| format!("unknown drop cause {t:?}"))?,
-                )
-            }
-            "latency" => latency = Some(num()?),
-            "hops" => hops = Some(num()?),
-            "state" => {
-                let t = text()?;
-                state = Some(
-                    HealthState::from_str(t)
-                        .ok_or_else(|| format!("unknown health state {t:?}"))?,
-                )
-            }
-            "faults" => faults = Some(num()?),
-            "tree" => {
-                tree = Some(u32::try_from(num()?).map_err(|_| "tree out of range".to_string())?)
-            }
-            "switches" => {
-                switches =
-                    Some(u32::try_from(num()?).map_err(|_| "switches out of range".to_string())?)
-            }
-            "exhausted" => {
-                exhausted = Some(match value {
-                    "true" => true,
-                    "false" => false,
-                    other => {
-                        return Err(format!("field \"exhausted\": expected bool, got {other:?}"))
-                    }
-                })
-            }
-            "regrafted" => regrafted = Some(num()?),
-            "reattached" => reattached = Some(num()?),
-            "lost" => lost = Some(num()?),
-            "rebuilt" => {
-                rebuilt = Some(match value {
-                    "true" => true,
-                    "false" => false,
-                    other => {
-                        return Err(format!("field \"rebuilt\": expected bool, got {other:?}"))
-                    }
-                })
-            }
-            other => return Err(format!("unknown field {other:?}")),
-        }
+/// The event one line of the flat trace schema describes, its fields read
+/// in the order [`TraceEvent::to_jsonl`] writes them.
+#[rustfmt::skip] // one row per event kind
+fn event_from(f: &Line<'_>) -> Result<TraceEvent, String> {
+    use TraceEventKind as K;
+    fn named<T>(f: &Line<'_>, key: &str, parse: fn(&str) -> Option<T>) -> Result<T, String> {
+        let t = f.req(key)?;
+        parse(t).ok_or_else(|| format!("unknown {key} {t:?}"))
     }
-    let missing = |k: &str| format!("missing field {k:?}");
-    let kind = match event.as_deref().ok_or_else(|| missing("event"))? {
-        "inject" => TraceEventKind::Inject {
-            dst: dst.ok_or_else(|| missing("dst"))?,
-            planned_hops: planned_hops.ok_or_else(|| missing("planned_hops"))?,
-        },
-        "hop" => TraceEventKind::Hop {
-            from: from.ok_or_else(|| missing("from"))?,
-        },
-        "stale_view" => TraceEventKind::StaleView {
-            blocked: blocked.ok_or_else(|| missing("blocked"))?,
-        },
-        "reroute" => TraceEventKind::Reroute {
-            budget_left: budget_left.ok_or_else(|| missing("budget_left"))?,
-        },
-        "drop" => TraceEventKind::Drop {
-            cause: cause.ok_or_else(|| missing("cause"))?,
-        },
-        "deliver" => TraceEventKind::Deliver {
-            latency: latency.ok_or_else(|| missing("latency"))?,
-            hops: hops.ok_or_else(|| missing("hops"))?,
-        },
-        "health" => TraceEventKind::Health {
-            state: state.ok_or_else(|| missing("state"))?,
-            faults: faults.ok_or_else(|| missing("faults"))?,
-        },
-        "tree_switch" => TraceEventKind::TreeSwitch {
-            tree: tree.ok_or_else(|| missing("tree"))?,
-            switches: switches.ok_or_else(|| missing("switches"))?,
-            exhausted: exhausted.ok_or_else(|| missing("exhausted"))?,
-        },
-        "tree_repair" => TraceEventKind::TreeRepair {
-            regrafted: regrafted.ok_or_else(|| missing("regrafted"))?,
-            reattached: reattached.ok_or_else(|| missing("reattached"))?,
-            lost: lost.ok_or_else(|| missing("lost"))?,
-            rebuilt: rebuilt.ok_or_else(|| missing("rebuilt"))?,
-        },
+    let id = |key: &str| f.req(key).map(NodeId);
+    let (cycle, packet, node) = (f.req("cycle")?, f.req("packet")?, id("node")?);
+    // Each kind, with the number of fields it adds to the four every
+    // line carries.
+    let (kind, own) = match f.req("event")? {
+        "inject" => (K::Inject { dst: id("dst")?, planned_hops: f.req("planned_hops")? }, 2),
+        "hop" => (K::Hop { from: id("from")? }, 1),
+        "stale_view" => (K::StaleView { blocked: id("blocked")? }, 1),
+        "reroute" => (K::Reroute { budget_left: f.req("budget_left")? }, 1),
+        "drop" => (K::Drop { cause: named(f, "cause", DropCause::from_str)? }, 1),
+        "deliver" => (K::Deliver { latency: f.req("latency")?, hops: f.req("hops")? }, 2),
+        "health" => (K::Health {
+            state: named(f, "state", HealthState::from_str)?,
+            faults: f.req("faults")?,
+        }, 2),
+        "tree_switch" => (K::TreeSwitch {
+            tree: f.req("tree")?,
+            switches: f.req("switches")?,
+            exhausted: f.req("exhausted")?,
+        }, 3),
+        "tree_repair" => (K::TreeRepair {
+            regrafted: f.req("regrafted")?,
+            reattached: f.req("reattached")?,
+            lost: f.req("lost")?,
+            rebuilt: f.req("rebuilt")?,
+        }, 4),
         other => return Err(format!("unknown event type {other:?}")),
     };
-    Ok(TraceEvent {
-        cycle: cycle.ok_or_else(|| missing("cycle"))?,
-        packet: packet.ok_or_else(|| missing("packet"))?,
-        node: node.ok_or_else(|| missing("node"))?,
-        kind,
-    })
+    f.expect_len(4 + own)?;
+    Ok(TraceEvent { cycle, packet, node, kind })
 }
 
 #[cfg(test)]

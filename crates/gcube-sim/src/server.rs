@@ -703,23 +703,43 @@ fn write_trace_artifact(entry: &SessionEntry, path: &str) -> io::Result<()> {
 
 // --- transports ---------------------------------------------------------
 
+/// Longest request line the daemon reads, in bytes (newline excluded).
+/// Far above any legitimate request; a longer line is discarded up to its
+/// newline, so memory stays bounded, and answered `bad_request`.
+const MAX_LINE_BYTES: usize = 8 << 20;
+
 /// Pump one connection: read request lines from `input`, write reply
 /// lines to `output`. Returns after EOF or an acknowledged shutdown.
-fn pump<R: BufRead, W: Write>(server: &Server, input: R, mut output: W) -> io::Result<()> {
-    for line in input.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
+/// Over-long and non-UTF-8 lines get a `bad_request` reply and the
+/// connection goes on.
+fn pump<R: BufRead, W: Write>(server: &Server, mut input: R, mut output: W) -> io::Result<()> {
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        let cap = MAX_LINE_BYTES as u64 + 1; // room for the newline
+        if io::Read::take(&mut input, cap).read_until(b'\n', &mut buf)? == 0 {
+            return Ok(());
         }
-        let reply = server.handle_line(&line);
+        let reply = if buf.len() > MAX_LINE_BYTES && buf.last() != Some(&b'\n') {
+            input.skip_until(b'\n')?;
+            err_reply(
+                "bad_request",
+                &format!("request line longer than {MAX_LINE_BYTES} bytes"),
+            )
+        } else {
+            match std::str::from_utf8(&buf) {
+                Err(_) => err_reply("bad_request", "request line is not valid UTF-8"),
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => server.handle_line(line),
+            }
+        };
         output.write_all(reply.text.as_bytes())?;
         output.write_all(b"\n")?;
         output.flush()?;
         if reply.shutdown {
-            break;
+            return Ok(());
         }
     }
-    Ok(())
 }
 
 /// Run the daemon on stdin/stdout (one client — useful for piping a
@@ -1143,5 +1163,54 @@ mod tests {
             v.get("sessions_discarded").and_then(JsonValue::as_u64),
             Some(1)
         );
+    }
+
+    /// Over-long and non-UTF-8 lines get one `bad_request` each and the
+    /// connection keeps serving; a line of exactly the cap is read whole.
+    #[test]
+    fn pump_bounds_lines_and_keeps_serving() {
+        let server = Server::new(ServerConfig::default());
+        let mut input = vec![b'x'; MAX_LINE_BYTES + 1];
+        input.push(b'\n');
+        input.extend_from_slice(b"\xff\xfe{\"op\":\"shutdown\"}\n");
+        let head = r#"{"op":"telemetry","session":"nope","pad":""#;
+        let pad = MAX_LINE_BYTES - head.len() - 2;
+        input.extend_from_slice(format!("{head}{}\"}}\n", "x".repeat(pad)).as_bytes());
+        for line in [
+            open_line("p", &cfg()),
+            r#"{"op":"step","session":"p","cycles":5}"#.to_string(),
+            r#"{"op":"close","session":"p"}"#.to_string(),
+        ] {
+            input.extend_from_slice(line.as_bytes());
+            input.push(b'\n');
+        }
+        let mut out = Vec::new();
+        pump(&server, &input[..], &mut out).unwrap();
+        let replies: Vec<JsonValue> = String::from_utf8(out)
+            .unwrap()
+            .lines()
+            .map(|l| parse_json(l).unwrap())
+            .collect();
+        let code = |v: &JsonValue| {
+            v.get("code")
+                .and_then(JsonValue::as_str)
+                .map(str::to_string)
+        };
+        let codes: Vec<Option<String>> = replies.iter().map(code).collect();
+        assert_eq!(
+            codes,
+            [
+                Some("bad_request".to_string()),
+                Some("bad_request".to_string()),
+                Some("no_such_session".to_string()),
+                None,
+                None,
+                None,
+            ]
+        );
+        for r in &replies[3..] {
+            assert_eq!(r.get("ok").and_then(JsonValue::as_bool), Some(true));
+        }
+        assert!(!server.is_shutdown(), "the non-UTF-8 line must not be read");
     }
 }

@@ -172,9 +172,8 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
-    /// Render as one JSONL line (no trailing newline). The schema is flat
-    /// and fixed-order so [`crate::replay::parse_jsonl_line`] can read it
-    /// back without a JSON library.
+    /// Render as one JSONL line (no trailing newline): one flat object,
+    /// fields in a fixed order, read back by [`crate::replay::parse_jsonl`].
     pub fn to_jsonl(&self) -> String {
         let head = format!(
             "{{\"cycle\":{},\"packet\":{},\"node\":{}",

@@ -8,9 +8,12 @@
 #   2. drive $SESSIONS concurrent seeded sessions through it, each on its
 #      own `gcube serve --connect` client (session s1 additionally
 #      snapshots at cycle 60 and restores onto itself before finishing),
-#   3. replay every session as an equivalent `gcube run --threads 1`
+#   3. alongside them, a hostile client sends a line nested 200,000
+#      deep and then one over the daemon's 8 MiB line cap; it must get
+#      two `bad_request` replies while the daemon keeps serving,
+#   4. replay every session as an equivalent `gcube run --threads 1`
 #      invocation and gate trace + telemetry through `gcube analyze diff`
-#      plus a strict byte comparison.
+#      plus a strict byte comparison, then require a `shutdown` reply.
 set -euo pipefail
 
 BIN=${GCUBE_BIN:-target/release/gcube}
@@ -54,12 +57,32 @@ client() {
   } | "$BIN" serve --connect "$SOCK" > "$WORK/$id.replies.jsonl"
 }
 
+# Written before the sessions start, so only the sending competes with them.
+{
+  head -c 200000 /dev/zero | tr '\0' '['
+  echo
+  head -c $((8 * 1024 * 1024 + 1)) /dev/zero | tr '\0' 'x'
+  echo
+} > "$WORK/hostile.jsonl"
+hostile() {
+  "$BIN" serve --connect "$SOCK" < "$WORK/hostile.jsonl" > "$WORK/hostile.replies.jsonl"
+}
+
 pids=()
 for i in $(seq "$SESSIONS"); do
   client "s$i" $((1000 + i)) &
   pids+=($!)
 done
+hostile &
+pids+=($!)
 for p in "${pids[@]}"; do wait "$p"; done
+
+bad=$(grep -c '"code":"bad_request"' "$WORK/hostile.replies.jsonl" || true)
+if [ "$bad" != 2 ]; then
+  echo "serve-smoke: hostile client got $bad bad_request replies, want 2:" >&2
+  head -c 2000 "$WORK/hostile.replies.jsonl" >&2
+  exit 1
+fi
 
 for i in $(seq "$SESSIONS"); do
   replies="$WORK/s$i.replies.jsonl"
@@ -90,7 +113,9 @@ for i in $(seq "$SESSIONS"); do
   fi
 done
 
-printf '{"op":"shutdown"}\n' | "$BIN" serve --connect "$SOCK"
+printf '{"op":"shutdown"}\n' | "$BIN" serve --connect "$SOCK" > "$WORK/shutdown.jsonl"
+grep -q '"op":"shutdown"' "$WORK/shutdown.jsonl" \
+  || { echo "serve-smoke: the daemon did not acknowledge shutdown" >&2; exit 1; }
 wait "$DAEMON_PID"
 DAEMON_PID=
-echo "serve-smoke: $SESSIONS concurrent sessions bitwise-identical to the CLI (s1 rewound mid-run)"
+echo "serve-smoke: $SESSIONS concurrent sessions bitwise-identical to the CLI (s1 rewound mid-run), hostile lines refused"
