@@ -1,6 +1,6 @@
 //! Survival past the Theorem-3 budget: FTGCR vs multitree, head to head.
 //!
-//! Two experiments, two CSVs:
+//! Three experiments, three CSVs:
 //!
 //! - `survival_clustered.csv` — the canonical over-budget clustered
 //!   scenario (20 A-links packed into one `GC(8,2)` subcube, the PR-4
@@ -11,15 +11,22 @@
 //! - `survival_churn.csv` — drop ratio vs fault-arrival rate
 //!   `p ∈ {0.02, 0.05, 0.10}` (transient Bernoulli churn, paper-delay
 //!   knowledge) for both strategies on identical seeds.
+//! - `collective_churn.csv` — broadcast coverage vs the same fault
+//!   rates under cached FTGCR: the churn sweep's configs and seeds with
+//!   the periodic broadcast collective riding on top.
 //!
-//! Both CSVs carry the tree-switch columns, so diffing two runs checks
-//! determinism of the whole multitree path.
+//! The first two CSVs carry the tree-switch columns and the third the
+//! tree-repair columns, so diffing two runs checks determinism of the
+//! whole multitree and collective path.
 
 use gcube_analysis::tables::{num, Table};
 use gcube_bench::{
-    results_dir, survival_churn_sweep, survival_head_to_head, survival_rates, survival_ratio,
+    results_dir, survival_churn_configs, survival_churn_sweep, survival_head_to_head,
+    survival_rates, survival_ratio, threads, COLLECTIVE_INTERVAL,
 };
-use gcube_sim::{CachedFtgcr, ChurnPoint, MultiTreeStrategy};
+use gcube_sim::{
+    run_churn_sweep, CachedFtgcr, ChurnPoint, CollectiveOp, MultiTreeStrategy, SimConfig,
+};
 
 fn row(table: &mut Table, label: &str, rate: f64, p: &ChurnPoint) {
     let m = &p.report.metrics;
@@ -102,4 +109,50 @@ fn main() {
     let path = results_dir().join("survival_churn.csv");
     churn.write_csv(&path).expect("write CSV");
     println!("\nwrote {}", path.display());
+
+    // Broadcast coverage vs fault-arrival rate, cached FTGCR.
+    let mut coverage = Table::new([
+        "fault_rate",
+        "ops",
+        "injected",
+        "delivered",
+        "dropped",
+        "coverage",
+        "tree_regrafts",
+        "tree_rebuilds",
+        "tree_lost_nodes",
+    ]);
+    for (rate, p) in survival_rates().iter().zip(collective_churn_sweep()) {
+        let m = &p.report.metrics;
+        coverage.row([
+            num(*rate, 3),
+            m.collective_ops.to_string(),
+            m.collective_injected.to_string(),
+            m.collective_delivered.to_string(),
+            m.collective_dropped.to_string(),
+            num(m.collective_coverage(), 4),
+            m.tree_regrafts.to_string(),
+            m.tree_rebuilds.to_string(),
+            m.tree_lost_nodes.to_string(),
+        ]);
+    }
+    println!("\nBroadcast coverage vs fault rate (GC(8,2), cached FTGCR, same churn)\n");
+    print!("{}", coverage.render());
+    let path = results_dir().join("collective_churn.csv");
+    coverage.write_csv(&path).expect("write CSV");
+    println!("\nwrote {}", path.display());
+}
+
+/// The churn sweep's configs and seeds with a broadcast every
+/// [`COLLECTIVE_INTERVAL`] cycles, so the coverage curve isolates what
+/// churn costs the tree traffic.
+fn collective_churn_sweep() -> Vec<ChurnPoint> {
+    let configs: Vec<SimConfig> = survival_churn_configs()
+        .into_iter()
+        .map(|c| {
+            c.with_collective(CollectiveOp::Broadcast)
+                .with_collective_interval(COLLECTIVE_INTERVAL)
+        })
+        .collect();
+    run_churn_sweep(&configs, &CachedFtgcr::new(), threads())
 }

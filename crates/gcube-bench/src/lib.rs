@@ -390,17 +390,15 @@ pub fn survival_rates() -> [f64; 3] {
     [0.02, 0.05, 0.10]
 }
 
-/// Drop-ratio-vs-fault-rate sweep on `GC(8, 2)`: transient Bernoulli
-/// churn at each of [`survival_rates`] under paper-delay knowledge. Run
-/// once per strategy; each call uses identical configs and seeds so the
-/// two curves differ only by the router.
-pub fn survival_churn_sweep(algorithm: &dyn RoutingAlgorithm) -> Vec<ChurnPoint> {
+/// The churn configs on `GC(8, 2)`: transient Bernoulli churn at each
+/// of [`survival_rates`] under paper-delay knowledge, one seed for all.
+pub fn survival_churn_configs() -> Vec<SimConfig> {
     let (inject, drain) = if quick() {
         (300, 3_000)
     } else {
         (1_200, 8_000)
     };
-    let configs: Vec<SimConfig> = survival_rates()
+    survival_rates()
         .into_iter()
         .map(|p| {
             SimConfig::new(8, 2)
@@ -416,8 +414,14 @@ pub fn survival_churn_sweep(algorithm: &dyn RoutingAlgorithm) -> Vec<ChurnPoint>
                     node_fraction: 0.5,
                 })
         })
-        .collect();
-    run_churn_sweep(&configs, algorithm, threads())
+        .collect()
+}
+
+/// Drop ratio vs fault rate: [`survival_churn_configs`] under one
+/// strategy. Every call runs identical configs and seeds, so two
+/// strategies' curves differ only by the router.
+pub fn survival_churn_sweep(algorithm: &dyn RoutingAlgorithm) -> Vec<ChurnPoint> {
+    run_churn_sweep(&survival_churn_configs(), algorithm, threads())
 }
 
 /// Cycles between collective operations in the canonical collective
@@ -463,38 +467,6 @@ pub fn collective_scenario_config() -> SimConfig {
                 })
                 .collect(),
         ))
-}
-
-/// Coverage-vs-fault-rate sweep: the broadcast collective under transient
-/// Bernoulli churn at each of [`survival_rates`], identical configs and
-/// seeds to [`survival_churn_sweep`] apart from the collective class, so
-/// the coverage curve isolates what churn costs the tree traffic.
-pub fn collective_churn_sweep(algorithm: &dyn RoutingAlgorithm) -> Vec<ChurnPoint> {
-    let (inject, drain) = if quick() {
-        (300, 3_000)
-    } else {
-        (1_200, 8_000)
-    };
-    let configs: Vec<SimConfig> = survival_rates()
-        .into_iter()
-        .map(|p| {
-            SimConfig::new(8, 2)
-                .with_cycles(inject, drain, 0)
-                .with_rate(0.01)
-                .with_seed(0x5a2_0000)
-                .with_knowledge(KnowledgeModel::PaperDelay)
-                .with_window(inject / 10)
-                .with_collective(CollectiveOp::Broadcast)
-                .with_collective_interval(COLLECTIVE_INTERVAL)
-                .with_schedule(FaultSchedule::Bernoulli {
-                    rate: p,
-                    kind: FaultKind::Transient { repair_after: 150 },
-                    mix: CategoryMix::default(),
-                    node_fraction: 0.5,
-                })
-        })
-        .collect();
-    run_churn_sweep(&configs, algorithm, threads())
 }
 
 #[cfg(test)]
@@ -556,6 +528,43 @@ mod tests {
             "survival must come from tree switching"
         );
         assert!(mt.tree_health.is_some(), "multitree reports tree health");
+    }
+
+    /// The collective acceptance scenario: after the clustered burst,
+    /// cached FTGCR's broadcast keeps at least 99% coverage, repaired by
+    /// re-grafting subtrees alone (link faults never kill a root).
+    #[test]
+    fn broadcast_regrafts_around_the_clustered_burst() {
+        let run =
+            run_churn_sweep(&[collective_scenario_config()], &CachedFtgcr::new(), 1).remove(0);
+        let post_fault: Vec<_> = run
+            .report
+            .collectives
+            .iter()
+            .filter(|s| s.started >= COLLECTIVE_FAULT_CYCLE)
+            .collect();
+        assert!(!post_fault.is_empty(), "operations launch after the burst");
+        let (expected, delivered) = post_fault
+            .iter()
+            .fold((0u64, 0u64), |(e, d), s| (e + s.expected, d + s.delivered));
+        assert!(
+            delivered as f64 >= 0.99 * expected as f64,
+            "post-fault coverage {delivered}/{expected}"
+        );
+        for s in &post_fault {
+            assert!(
+                s.coverage() >= 0.99,
+                "operation {} covered {:.4}",
+                s.op,
+                s.coverage()
+            );
+        }
+        let m = &run.report.metrics;
+        assert_eq!(
+            (m.tree_regrafts, m.tree_rebuilds, m.tree_lost_nodes),
+            (2, 0, 0),
+            "re-grafts, rebuilds, lost nodes"
+        );
     }
 
     /// Each GEEC subcube of `GC(n, 2^α)` is a `|Dim(α,k)|`-dimensional

@@ -30,7 +30,7 @@
 use std::collections::BTreeMap;
 
 use gcube_routing::{BroadcastTree, FaultSet, HealthState, RepairOutcome, Route, TreeSnapshot};
-use gcube_topology::{LinkId, NodeId, Topology};
+use gcube_topology::{GaussianCube, LinkId, NodeId, Topology};
 
 use crate::artifact::{ArtifactKind, ArtifactMeta, ARTIFACT_FORMAT};
 use crate::config::SimConfig;
@@ -904,6 +904,104 @@ impl Checkpoint {
 
     // -- restore ---------------------------------------------------------
 
+    /// Check every value [`Checkpoint::rebuild`] sizes or indexes with
+    /// before it allocates: the arena holds exactly the live and free
+    /// slots listed, each slot once; every queued slot is live and queued
+    /// once; node ids and link dimensions lie inside the cube; each
+    /// packet's hop index lies inside its route, and each hop of the route
+    /// is a link of the cube; and the repair ledger has one entry per
+    /// ending class.
+    fn validate(&self, gc: &GaussianCube) -> Result<(), String> {
+        let (n_nodes, n_dims) = (gc.num_nodes(), gc.n());
+        if self.arena != self.live.len() + self.free.len() {
+            return Err(format!(
+                "arena of {} slots, but {} live and {} free slots listed",
+                self.arena,
+                self.live.len(),
+                self.free.len()
+            ));
+        }
+        const FREE: u8 = 1;
+        const LIVE: u8 = 2;
+        const QUEUED: u8 = 3;
+        let mut state = vec![0u8; self.arena];
+        let mut claim = |slot: u32, from: u8, to: u8| match state.get_mut(slot as usize) {
+            Some(s) if *s == from => {
+                *s = to;
+                Ok(())
+            }
+            Some(_) if from == LIVE => Err(format!(
+                "queued slot {slot} is not a live packet, or is queued twice"
+            )),
+            Some(_) => Err(format!("slot {slot} listed twice")),
+            None => Err(format!("slot {slot} outside the arena of {}", self.arena)),
+        };
+        for &slot in &self.free {
+            claim(slot, 0, FREE)?;
+        }
+        let node = |v: u64| {
+            if v < n_nodes {
+                Ok(())
+            } else {
+                Err(format!("node {v} outside the cube"))
+            }
+        };
+        for p in &self.live {
+            claim(p.slot, 0, LIVE)?;
+            if p.hop_idx as usize >= p.route.len() {
+                return Err(format!(
+                    "packet in slot {} is at hop {} of a {}-node route",
+                    p.slot,
+                    p.hop_idx,
+                    p.route.len()
+                ));
+            }
+            p.route.iter().try_for_each(|&v| node(v))?;
+            for hop in p.route.windows(2) {
+                let flipped = hop[0] ^ hop[1];
+                let dim = flipped.trailing_zeros();
+                if flipped.count_ones() != 1 || !gc.has_link(NodeId(hop[0]), dim) {
+                    return Err(format!(
+                        "packet in slot {} hops {} -> {}, not a link of the cube",
+                        p.slot, hop[0], hop[1]
+                    ));
+                }
+            }
+        }
+        for (v, slots) in &self.queues {
+            node(*v)?;
+            for &slot in slots {
+                claim(slot, LIVE, QUEUED)?;
+            }
+        }
+        let link = |lo: u64, dim: u32| {
+            node(lo)?;
+            if dim < n_dims {
+                Ok(())
+            } else {
+                Err(format!("link dimension {dim} outside the cube"))
+            }
+        };
+        for f in [&self.truth, &self.view] {
+            f.nodes.iter().try_for_each(|&v| node(v))?;
+            f.links.iter().try_for_each(|&(lo, dim)| link(lo, dim))?;
+        }
+        for (_, _, target, _) in &self.pending {
+            match *target {
+                FaultTarget::Node(v) => node(v.0)?,
+                FaultTarget::Link(l) => link(l.lo.0, l.dim)?,
+            }
+        }
+        let classes = 1usize << gc.alpha();
+        if self.ledger.len() != classes {
+            return Err(format!(
+                "repair ledger holds {} classes, the cube has {classes}",
+                self.ledger.len()
+            ));
+        }
+        Ok(())
+    }
+
     /// Rebuild a running engine from this checkpoint. `sim` must have been
     /// constructed from [`Checkpoint::config`] and a strategy matching
     /// [`Checkpoint::strategy`] / [`Checkpoint::trees`] — derived state
@@ -921,6 +1019,7 @@ impl Checkpoint {
                 ));
             }
         }
+        self.validate(sim.cube())?;
         let n_nodes = sim.cube().num_nodes();
 
         // Null sinks on purpose: the cycle-0 health event was already
@@ -977,9 +1076,6 @@ impl Checkpoint {
         store.next.resize(self.arena, NIL);
         for p in &self.live {
             let s = p.slot as usize;
-            if s >= self.arena {
-                return Err(format!("live packet slot {s} outside arena"));
-            }
             store.id[s] = p.id;
             store.injected_at[s] = p.injected_at;
             store.hop_idx[s] = p.hop_idx;
@@ -993,9 +1089,6 @@ impl Checkpoint {
         let mut queues = NodeQueues::new(n_nodes);
         for (v, slots) in &self.queues {
             let v = *v as usize;
-            if v >= n_nodes as usize {
-                return Err(format!("queue for node {v} outside the cube"));
-            }
             for &slot in slots {
                 queues.push_back(&mut store, v, slot);
             }
@@ -1165,6 +1258,102 @@ mod tests {
         assert!(Checkpoint::from_text(&headless).is_err());
 
         assert!(Checkpoint::from_text("").is_err());
+    }
+
+    /// A mid-run checkpoint with packets queued, its text, and a restore
+    /// of edited text through `stepper_from` on a simulator built from the
+    /// unedited config.
+    fn restore_edited(edit: impl Fn(&Checkpoint, &str) -> String) -> Result<(), String> {
+        let algo = build_strategy("ftgcr", 0).unwrap();
+        let sim = Simulator::try_new(churn_config(), &*algo).unwrap();
+        let mut stepper = sim.session().stepper();
+        stepper.step_many(60);
+        let ck = stepper.checkpoint(0).unwrap();
+        assert!(!ck.live.is_empty() && !ck.queues.is_empty());
+        let text = ck.to_text();
+        sim.session().stepper_from(&Checkpoint::from_text(&text)?)?;
+        let edited = Checkpoint::from_text(&edit(&ck, &text))?;
+        sim.session().stepper_from(&edited).map(drop)
+    }
+
+    fn with_arena(ck: &Checkpoint, text: &str, arena: &str) -> String {
+        text.replace(
+            &format!("\"arena\":{}", ck.arena),
+            &format!("\"arena\":{arena}"),
+        )
+    }
+
+    /// At 2^40 slots the arena allocation used to abort the process.
+    #[test]
+    fn huge_arena_is_an_error_not_an_abort() {
+        let err = restore_edited(|ck, text| with_arena(ck, text, "1099511627776")).unwrap_err();
+        assert!(err.contains("arena of 1099511627776 slots"), "{err}");
+    }
+
+    /// At `u64::MAX` slots the arena allocation used to panic with a
+    /// capacity overflow.
+    #[test]
+    fn arena_past_capacity_is_an_error_not_a_panic() {
+        let err =
+            restore_edited(|ck, text| with_arena(ck, text, "18446744073709551615")).unwrap_err();
+        assert!(err.contains("arena of 18446744073709551615 slots"), "{err}");
+    }
+
+    /// A queued slot outside the arena used to panic with an index out of
+    /// bounds in `NodeQueues::push_back`.
+    #[test]
+    fn queued_slot_outside_the_arena_is_an_error_not_a_panic() {
+        let err = restore_edited(|ck, text| {
+            let (v, slots) = &ck.queues[0];
+            let listed = |first: u32| {
+                let rest = slots[1..].iter().map(|&s| u64::from(s));
+                format!(
+                    "[{v},{}]",
+                    u64_arr(std::iter::once(u64::from(first)).chain(rest))
+                )
+            };
+            text.replacen(&listed(slots[0]), &listed(ck.arena as u32 + 5), 1)
+        })
+        .unwrap_err();
+        assert!(err.contains("outside the arena"), "{err}");
+    }
+
+    /// Every other inconsistency `rebuild` would index with is refused
+    /// too, each with its own reason.
+    #[test]
+    fn inconsistent_slots_and_ids_are_errors() {
+        let algo = build_strategy("ftgcr", 0).unwrap();
+        let sim = Simulator::try_new(churn_config(), &*algo).unwrap();
+        let mut stepper = sim.session().stepper();
+        stepper.step_many(60);
+        let ck = stepper.checkpoint(0).unwrap();
+        assert!(!ck.free.is_empty() && ck.live.len() >= 2);
+        type Edit = fn(&mut Checkpoint);
+        let edits: [(&str, Edit); 10] = [
+            ("listed twice", |c| c.free.push(c.live[0].slot)),
+            ("listed twice", |c| c.live[1].slot = c.live[0].slot),
+            ("not a live packet", |c| c.queues[0].1.push(c.free[0])),
+            ("queued twice", |c| {
+                let s = c.queues[0].1[0];
+                c.queues[0].1.push(s);
+            }),
+            ("hop", |c| c.live[0].hop_idx = c.live[0].route.len() as u32),
+            ("node 64 outside", |c| c.live[0].route.push(64)),
+            ("not a link", |c| {
+                let last = *c.live[0].route.last().unwrap();
+                c.live[0].route.push(last ^ 3);
+            }),
+            ("node 70 outside", |c| c.truth.nodes.push(70)),
+            ("dimension 6", |c| c.view.links.push((0, 6))),
+            ("repair ledger", |c| c.ledger.truncate(1)),
+        ];
+        for (want, edit) in edits {
+            let mut bad = ck.clone();
+            edit(&mut bad);
+            bad.arena = bad.live.len() + bad.free.len();
+            let err = bad.rebuild(&sim).map(drop).unwrap_err();
+            assert!(err.contains(want), "want {want:?}, got {err}");
+        }
     }
 
     #[test]

@@ -1065,6 +1065,24 @@ mod tests {
         assert_eq!(code_of(&server.handle_line(&bad)), "invalid_topology");
     }
 
+    /// With every permit held, a cycle-advancing request gives up after
+    /// `PERMIT_WAIT` with `overloaded`; once a permit is free, the same
+    /// request succeeds.
+    #[test]
+    fn busy_permits_answer_overloaded() {
+        let server = Server::new(ServerConfig {
+            max_sessions: 4,
+            workers: 1,
+        });
+        parse_ok(&server.handle_line(&open_line("o", &cfg())));
+        let step = r#"{"op":"step","session":"o","cycles":5}"#;
+        assert!(server.permits.acquire(PERMIT_WAIT));
+        assert_eq!(code_of(&server.handle_line(step)), "overloaded");
+        server.permits.release();
+        let r = parse_ok(&server.handle_line(step));
+        assert_eq!(r.get("cycle").and_then(JsonValue::as_u64), Some(5));
+    }
+
     #[test]
     fn static_faults_admit_degraded_and_churn_suspends() {
         use crate::injection::{FaultKind, FaultSchedule, FaultTarget, TimedFault};

@@ -13,8 +13,8 @@
 //! [`TraceSink`](crate::trace::TraceSink): [`NullTelemetry`] reports
 //! `enabled() == false` as a compile-time-foldable constant, so the
 //! telemetry-off engine monomorphisation contains no telemetry code at
-//! all (the `telemetry` entry in `BENCH_routing.json` and the
-//! benchmark's `observers.overhead_ratio` guard this). [`TelemetryCollector`] is
+//! all (the benchmark's observer-free workloads time that path, and
+//! `observers.overhead_ratio` the observed one). [`TelemetryCollector`] is
 //! the real sink: it accumulates counters per sampling window
 //! ([`crate::config::SimConfig::telemetry_interval`] cycles) into a
 //! bounded ring of [`TelemetrySample`]s, exportable as CSV

@@ -14,7 +14,8 @@
 //! [`TraceSink::enabled`]` == false` as a compile-time-foldable constant:
 //! with tracing off, every event construction is dead code and the
 //! allocation-free hot path is byte-for-byte the untraced engine. The
-//! `tracing_overhead` measurement in `bench_trajectory` guards this.
+//! benchmark's observer-free workloads (`fwd-dense`, `inject-sparse`,
+//! `churn-t2`) time that path against their bounds.
 //!
 //! # Determinism
 //!

@@ -27,7 +27,11 @@ cleanup() {
 }
 trap cleanup EXIT
 
-"$BIN" serve --socket "$SOCK" --max-sessions 64 &
+# One execution permit per session: this script checks daemon ≡ CLI, not
+# backpressure (a `run` holds its permit for the whole run, so with fewer
+# permits than sessions a busy host answers `overloaded`; the server's unit
+# tests cover that reply).
+"$BIN" serve --socket "$SOCK" --max-sessions 64 --workers "$SESSIONS" &
 DAEMON_PID=$!
 for _ in $(seq 100); do
   [ -S "$SOCK" ] && break

@@ -2,11 +2,13 @@
 //! `Err` and never panics.
 //!
 //! Each case starts from a valid artifact written by the real writers — a
-//! trace with its provenance header, a profiler export, a checkpoint, and
-//! an `open` request — and mutates it once: a truncation at a random
-//! byte, one byte replaced by a structural character, a digit, a letter
-//! or a multi-byte character, or one field of one line duplicated or
-//! removed. The mutated text then goes through every reader.
+//! trace, a profiler export and a telemetry export, each with its
+//! provenance header, a checkpoint, and an `open` request — and mutates
+//! it once: a truncation at a random byte, one byte replaced by a
+//! structural character, a digit, a letter or a multi-byte character, or
+//! one field of one line duplicated or removed. The mutated text then
+//! goes through every reader. A checkpoint that still parses is also
+//! restored, on a simulator built from its own config and strategy.
 
 use std::sync::OnceLock;
 
@@ -18,7 +20,8 @@ use gcube::sim::trace::to_jsonl;
 use gcube::sim::{
     build_strategy, parse_jsonl_with_meta, ArtifactKind, ArtifactMeta, CategoryMix, Checkpoint,
     CollectiveOp, DropCause, FaultKind, FaultSchedule, FaultTarget, MemorySink, ProfileCollector,
-    Request, SimConfig, Simulator, TimedFault, TraceEvent, TraceEventKind, ARTIFACT_FORMAT,
+    Request, SimConfig, Simulator, TelemetryCollector, TimedFault, TraceEvent, TraceEventKind,
+    ARTIFACT_FORMAT,
 };
 use gcube::topology::NodeId;
 
@@ -58,9 +61,9 @@ fn meta_line(cfg: &SimConfig, kind: ArtifactKind) -> String {
 }
 
 /// The valid artifacts every case starts from: trace, profile,
-/// checkpoint, `open` request.
-fn corpus() -> &'static [String; 4] {
-    static CORPUS: OnceLock<[String; 4]> = OnceLock::new();
+/// telemetry, checkpoint, `open` request.
+fn corpus() -> &'static [String; 5] {
+    static CORPUS: OnceLock<[String; 5]> = OnceLock::new();
     CORPUS.get_or_init(|| {
         let cfg = churn_config();
         let algo = build_strategy("ftgcr", 0).unwrap();
@@ -68,7 +71,12 @@ fn corpus() -> &'static [String; 4] {
 
         let mut sink = MemorySink::new();
         let mut prof = ProfileCollector::new(1 << sim.cube().alpha(), cfg.window);
-        sim.session().trace(&mut sink).profile(&mut prof).run();
+        let mut telem = TelemetryCollector::new(sim.cube(), cfg.window);
+        sim.session()
+            .trace(&mut sink)
+            .profile(&mut prof)
+            .telemetry(&mut telem)
+            .run();
         // The run draws no drops or tree events; append one of each so
         // every event kind's fields are in play.
         let mut events = sink.events().to_vec();
@@ -104,6 +112,11 @@ fn corpus() -> &'static [String; 4] {
             meta_line(&cfg, ArtifactKind::Profile),
             prof.to_jsonl()
         );
+        let telemetry = format!(
+            "{}\n{}",
+            meta_line(&cfg, ArtifactKind::Telemetry),
+            telem.to_jsonl()
+        );
 
         let mut stepper = sim.session().stepper();
         stepper.step_many(25);
@@ -121,7 +134,7 @@ fn corpus() -> &'static [String; 4] {
             "{{\"op\":\"open\",\"session\":\"s1\",\"strategy\":\"ftgcr\",\"trees\":2,\"config\":{}}}",
             config_to_json(&scripted)
         );
-        [trace, profile, checkpoint, open]
+        [trace, profile, telemetry, checkpoint, open]
     })
 }
 
@@ -188,14 +201,20 @@ fn read_everything(original: &str, text: &str) {
         let _ = ArtifactMeta::parse(line);
     }
     let _ = parse_jsonl_with_meta(text);
-    let _ = Checkpoint::from_text(text);
+    if let Ok(ck) = Checkpoint::from_text(text) {
+        if let Ok(algo) = build_strategy(ck.strategy(), ck.trees()) {
+            if let Ok(sim) = Simulator::try_new(ck.config().clone(), &*algo) {
+                let _ = sim.session().stepper_from(&ck).map(drop);
+            }
+        }
+    }
     let _ = render_profile(text);
     let _ = diff_deterministic(original, text);
 }
 
 #[test]
 fn the_unmutated_corpus_reads_cleanly() {
-    let [trace, profile, checkpoint, open] = corpus();
+    let [trace, profile, telemetry, checkpoint, open] = corpus();
     let (meta, events) = parse_jsonl_with_meta(trace).unwrap();
     assert!(
         meta.is_some() && events.len() > 100,
@@ -203,7 +222,13 @@ fn the_unmutated_corpus_reads_cleanly() {
         events.len()
     );
     assert!(render_profile(profile).unwrap().contains("sample windows"));
-    Checkpoint::from_text(checkpoint).unwrap();
+    let meta = ArtifactMeta::parse(telemetry.lines().next().unwrap());
+    assert_eq!(meta.unwrap().unwrap().kind, ArtifactKind::Telemetry);
+    assert!(telemetry.lines().count() > 2, "{telemetry}");
+    let ck = Checkpoint::from_text(checkpoint).unwrap();
+    let algo = build_strategy(ck.strategy(), ck.trees()).unwrap();
+    let sim = Simulator::try_new(ck.config().clone(), &*algo).unwrap();
+    assert_eq!(sim.session().stepper_from(&ck).unwrap().cycle(), 25);
     assert!(matches!(Request::parse(open), Ok(Request::Open { .. })));
     for text in corpus() {
         assert!(diff_deterministic(text, text).unwrap().identical);
@@ -219,7 +244,7 @@ proptest! {
 
     #[test]
     fn readers_never_panic_on_mutated_artifacts(
-        (which, kind, a, b) in (0usize..4, 0u8..3, any::<u64>(), any::<u64>())
+        (which, kind, a, b) in (0usize..5, 0u8..3, any::<u64>(), any::<u64>())
     ) {
         let original = &corpus()[which];
         read_everything(original, &mutate(original, kind, a, b));
