@@ -379,10 +379,7 @@ fn parse_timed(s: &str, kind: FaultKind) -> Result<TimedFault, SimError> {
         }),
         [cycle, "link", v, dim] => Ok(TimedFault {
             cycle: parse_num(cycle, "event cycle")?,
-            target: FaultTarget::Link(LinkId::new(
-                NodeId(parse_label(v)?),
-                parse_num(dim, "link dimension")?,
-            )),
+            target: FaultTarget::link(NodeId(parse_label(v)?), parse_num(dim, "link dimension")?),
             kind,
         }),
         _ => Err(SimError::Cli(format!(
@@ -414,17 +411,18 @@ pub fn parse(args: &[String]) -> Result<Command, SimError> {
             while let Some(flag) = it.next() {
                 match flag.as_str() {
                     "--fault-node" => {
-                        fault_nodes.push(NodeId(parse_label(next(&mut it, "fault node")?)?));
+                        let v = NodeId(parse_label(next(&mut it, "fault node")?)?);
+                        FaultTarget::Node(v).check(n)?;
+                        fault_nodes.push(v);
                     }
                     "--fault-link" => {
                         let spec = next(&mut it, "fault link")?;
                         let (v, dim) = spec.split_once(':').ok_or_else(|| {
                             SimError::Cli(format!("fault link must be V:DIM, got {spec}"))
                         })?;
-                        fault_links.push(LinkId::new(
-                            NodeId(parse_label(v)?),
-                            parse_num(dim, "link dimension")?,
-                        ));
+                        let (v, dim) = (NodeId(parse_label(v)?), parse_num(dim, "link dimension")?);
+                        FaultTarget::link(v, dim).check(n)?;
+                        fault_links.push(LinkId::new(v, dim));
                     }
                     "--fault-free" => fault_free = true,
                     other => return Err(SimError::Cli(format!("unknown flag: {other}"))),
@@ -876,6 +874,31 @@ mod tests {
             ])
         );
         assert_eq!(churn.knowledge, KnowledgeModel::Measured);
+    }
+
+    #[test]
+    fn route_refuses_fault_targets_outside_the_cube() {
+        for (bad, target) in [
+            ("--fault-link 0:70", FaultTarget::link(NodeId(0), 70)),
+            ("--fault-link 0:6", FaultTarget::link(NodeId(0), 6)),
+            ("--fault-link 64:0", FaultTarget::link(NodeId(64), 0)),
+            ("--fault-node 64", FaultTarget::Node(NodeId(64))),
+        ] {
+            let e = parse(&argv(&format!("route 6 2 0 5 {bad}"))).unwrap_err();
+            assert_eq!(e, SimError::InvalidFaultTarget { target, n: 6 }, "{bad}");
+            assert_eq!(e.code(), "invalid_fault_target");
+        }
+        assert!(parse(&argv("route 6 2 0 5 --fault-node 63 --fault-link 63:5")).is_ok());
+        // `run` parses the same spelling without overflowing a shift and
+        // leaves the range check to `Simulator::try_new`.
+        let c = parse(&argv("run 6 2 --fault-at 10:link:0:70")).unwrap();
+        let Command::Run { churn, .. } = c else {
+            panic!("wrong command: {c:?}")
+        };
+        let FaultSchedule::Scripted(events) = churn.schedule else {
+            panic!("scripted schedule expected")
+        };
+        assert_eq!(events[0].target, FaultTarget::link(NodeId(0), 70));
     }
 
     #[test]

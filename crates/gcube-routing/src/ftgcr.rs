@@ -25,6 +25,40 @@
 //! the paper's `F`-bounded overhead. This uses exactly the fault knowledge
 //! the paper grants a source (assumption 4 of §6: status of B/C faults for
 //! same-ending nodes).
+//!
+//! **Fault-free fast path.** Theorem 5 keeps fault handling local, so most
+//! plans under sparse faults meet none, and for those the repair search and
+//! the crossings are skipped: the FFGCR realisation is returned with one
+//! crossing counted per tree edge. Corner `i` is the node after the crossing
+//! into walk position `i` and that position's flips. The *region* of
+//! position `i` is the class subcube `Dim(α, walk[i])` through corner `i`
+//! when the position flips anything (position 0 included), and corner `i`
+//! alone otherwise. The fast path runs when no faulty node and no endpoint
+//! of a faulty link lies in any position's region; every other plan takes
+//! the slow path unchanged. A crossing link needs no test of its own: its
+//! endpoints, corner `i − 1` and the landing, lie in the regions of
+//! positions `i − 1` and `i`. The result is exactly the slow path's:
+//!
+//! 1. `repair_exec_plan` returns the default schedule unchanged, because
+//!    every corner lies in a region and so is healthy.
+//! 2. At position 0, `route_adaptive` on a fault-free subcube sees equal
+//!    safety levels everywhere and flips the pending dimensions in
+//!    ascending order, which is FFGCR's order.
+//! 3. A crossing `p → q` starts at corner `i − 1` with `ideal == cur`,
+//!    since a crossing flips only `q`'s dimensions. `best_usable_column`
+//!    ranks that column first, with key `(0, 0, 0, 0, ·)`, whenever its
+//!    exchange link, its landing and its exit corner (corner `i`) are
+//!    healthy, so faults elsewhere in `p`'s subcube cannot change the
+//!    choice.
+//! 4. After landing, `route_adaptive` runs inside `q`'s subcube at the
+//!    landing and flips in ascending order when that subcube is fault-free.
+//!    When position `i` has no flips it is never called.
+//!
+//! With α = 0 the whole cube is one subcube and the adaptive route is taken
+//! directly. The guard is not "the FFGCR route's own nodes and links are
+//! healthy": a fault beside the route inside a flip subcube changes the
+//! safety levels `route_adaptive` steers by, and with them the order of
+//! the flips.
 
 use std::collections::{BTreeSet, HashSet};
 
@@ -35,7 +69,7 @@ use crate::faults::FaultSet;
 use crate::ffgcr;
 use crate::freh::{route_crossing, CrossingStats};
 use crate::hypercube_ft::{route_adaptive, to_host_path, VirtualCube};
-use crate::plan_cache::PlanCache;
+use crate::plan_cache::{CachedWalk, PlanCache};
 use crate::route::{Route, RoutingError};
 
 /// Statistics aggregated over a full FTGCR route.
@@ -270,9 +304,12 @@ pub fn route(
 
 /// FTGCR with the plan stage served from a [`PlanCache`]: identical output
 /// to [`route`] (property-tested), with the tree walk memoised instead of
-/// recomputed per packet. Fault repair and crossing detours stay
-/// per-packet — the cache is keyed purely by topology, so fault events
-/// never invalidate it.
+/// recomputed per packet. The fault-free fast path (module doc) tests the
+/// cached walk against the fault set and, when no fault lies in its
+/// region, replays it straight into the route, so such a plan allocates
+/// only the route. Other plans build the schedule and run fault repair and
+/// crossing detours per packet. The cache is keyed purely by topology, so
+/// fault events never invalidate it.
 pub fn route_cached(
     gc: &GaussianCube,
     faults: &FaultSet,
@@ -290,19 +327,7 @@ fn route_impl(
     d: NodeId,
     cache: Option<&PlanCache>,
 ) -> Result<(Route, FtgcrStats), RoutingError> {
-    if !gc.contains(s) {
-        return Err(RoutingError::OutOfRange(s));
-    }
-    if !gc.contains(d) {
-        return Err(RoutingError::OutOfRange(d));
-    }
-    if faults.is_node_faulty(s) {
-        return Err(RoutingError::SourceFaulty(s));
-    }
-    if faults.is_node_faulty(d) {
-        return Err(RoutingError::DestFaulty(d));
-    }
-    let mut stats = FtgcrStats::default();
+    check_endpoints(gc, faults, s, d)?;
     let (n, alpha) = (gc.n(), gc.alpha());
 
     // α = 0: GC(n,1) is the binary hypercube; route adaptively in one cube.
@@ -311,15 +336,22 @@ fn route_impl(
         let vc = VirtualCube::from_host(gc, faults, s, &all_dims);
         let (coords, _) = route_adaptive(&vc, vc.coord(s), vc.coord(d))
             .ok_or(RoutingError::Unreachable { from: s, to: d })?;
-        return Ok((Route::new(to_host_path(&vc, &coords)), stats));
+        return Ok((
+            Route::new(to_host_path(&vc, &coords)),
+            FtgcrStats::default(),
+        ));
     }
 
     // The default schedule flips each class's pending dimensions at its
     // first visit, whether replayed from the cache or rebuilt from scratch
-    // — both paths produce the identical ExecPlan.
+    // — both paths produce the identical ExecPlan. A plan whose region
+    // holds no fault is replayed before any repair or crossing runs.
     let (ep, plan_hops) = match cache.filter(|c| c.is_active() && c.matches(gc)) {
         Some(c) => {
             let (walk, high) = c.walk_and_flips(gc, s, d);
+            if let Some(fast) = fast_cached(c, &walk, high, faults, s) {
+                return Ok(fast);
+            }
             let mut flips_at = vec![0u64; walk.classes.len()];
             for (i, &k) in walk.classes.iter().enumerate() {
                 if walk.first_visit[i] {
@@ -336,9 +368,150 @@ fn route_impl(
         None => {
             let plan = ffgcr::plan(gc, s, d);
             let hops = plan.hops();
-            (default_exec_plan(&plan), hops)
+            let ep = default_exec_plan(&plan);
+            if let Some(fast) = fast_uncached(gc, &ep, hops, faults, s) {
+                return Ok(fast);
+            }
+            (ep, hops)
         }
     };
+    execute_plan(gc, faults, s, d, ep, plan_hops)
+}
+
+/// The errors every FTGCR route reports before planning: an endpoint
+/// outside the cube, or a faulty endpoint.
+fn check_endpoints(
+    gc: &GaussianCube,
+    faults: &FaultSet,
+    s: NodeId,
+    d: NodeId,
+) -> Result<(), RoutingError> {
+    if !gc.contains(s) {
+        return Err(RoutingError::OutOfRange(s));
+    }
+    if !gc.contains(d) {
+        return Err(RoutingError::OutOfRange(d));
+    }
+    if faults.is_node_faulty(s) {
+        return Err(RoutingError::SourceFaulty(s));
+    }
+    if faults.is_node_faulty(d) {
+        return Err(RoutingError::DestFaulty(d));
+    }
+    Ok(())
+}
+
+/// The fast path over a cached walk: the default schedule read straight
+/// from `walk` and the pair's high-dimension flip mask `high`.
+fn fast_cached(
+    c: &PlanCache,
+    walk: &CachedWalk,
+    high: u64,
+    faults: &FaultSet,
+    s: NodeId,
+) -> Option<(Route, FtgcrStats)> {
+    let steps = walk.classes.iter().enumerate().map(|(i, &k)| {
+        let cross = i.checked_sub(1).map(|j| walk.edge_dims[j]);
+        let flips = if walk.first_visit[i] {
+            c.class_dims(k) & high
+        } else {
+            0
+        };
+        (cross, k, flips)
+    });
+    let hops = walk.tree_hops() + high.count_ones() as usize;
+    replay_if_clear(faults, s, hops, steps, |k| c.class_dims(k))
+}
+
+/// The fast path over an uncached default schedule.
+fn fast_uncached(
+    gc: &GaussianCube,
+    ep: &ExecPlan,
+    hops: usize,
+    faults: &FaultSet,
+    s: NodeId,
+) -> Option<(Route, FtgcrStats)> {
+    let (n, alpha) = (gc.n(), gc.alpha());
+    let tree = GaussianTree::new(alpha).expect("alpha within cap");
+    let steps = ep.walk.iter().enumerate().map(|(i, &k)| {
+        let cross = i.checked_sub(1).map(|j| {
+            tree.edge_dim(NodeId(ep.walk[j]), NodeId(k))
+                .expect("plan walk follows tree edges")
+        });
+        (cross, k, ep.flips_at[i])
+    });
+    let class_dims = |k| dims(n, alpha, k).iter().fold(0u64, |m, &c| m | (1u64 << c));
+    replay_if_clear(faults, s, hops, steps, class_dims)
+}
+
+/// Replay a default schedule when no fault lies in the region the slow
+/// path consults (module doc, "Fault-free fast path"); `None` otherwise.
+///
+/// `steps` yields, per walk position, the crossing dimension into it (none
+/// at position 0), its class and the dimensions it flips; `class_dims(k)`
+/// is `Dim(α, k)` as a mask. The flips are replayed in ascending order,
+/// and the stats count the one crossing per tree edge the slow path counts
+/// on a fault-free plan.
+fn replay_if_clear(
+    faults: &FaultSet,
+    s: NodeId,
+    hops: usize,
+    steps: impl Iterator<Item = (Option<u32>, u64, u64)> + Clone,
+    class_dims: impl Fn(u64) -> u64,
+) -> Option<(Route, FtgcrStats)> {
+    let mut cur = s;
+    for (cross, k, flips) in steps.clone() {
+        if let Some(c0) = cross {
+            cur = cur.flip(c0);
+        }
+        let free = if flips != 0 { class_dims(k) } else { 0 };
+        if region_has_fault(faults, cur, free) {
+            return None;
+        }
+        cur = NodeId(cur.0 ^ flips);
+    }
+    let mut stats = FtgcrStats::default();
+    let mut nodes = Vec::with_capacity(hops + 1);
+    let mut cur = s;
+    nodes.push(cur);
+    for (cross, _, mut flips) in steps {
+        if let Some(c0) = cross {
+            cur = cur.flip(c0);
+            nodes.push(cur);
+            stats.crossings += 1;
+        }
+        while flips != 0 {
+            cur = cur.flip(flips.trailing_zeros());
+            flips &= flips - 1;
+            nodes.push(cur);
+        }
+    }
+    Some((Route::new(nodes), stats))
+}
+
+/// Whether a faulty node, or an endpoint of a faulty link, lies in the
+/// subcube through `anchor` spanned by the dimensions in `free`.
+fn region_has_fault(faults: &FaultSet, anchor: NodeId, free: u64) -> bool {
+    let inside = |v: NodeId| (v.0 ^ anchor.0) & !free == 0;
+    faults.faulty_nodes().any(inside)
+        || faults.faulty_links().any(|l| {
+            let (a, b) = l.endpoints();
+            inside(a) || inside(b)
+        })
+}
+
+/// The slow path: repair the schedule's corners, then run every flip
+/// stage and every crossing through the fault-tolerant substrates.
+fn execute_plan(
+    gc: &GaussianCube,
+    faults: &FaultSet,
+    s: NodeId,
+    d: NodeId,
+    ep: ExecPlan,
+    plan_hops: usize,
+) -> Result<(Route, FtgcrStats), RoutingError> {
+    let mut stats = FtgcrStats::default();
+    let (n, alpha) = (gc.n(), gc.alpha());
     let ep = repair_exec_plan(gc, faults, s, ep, &mut stats)
         .ok_or(RoutingError::Unreachable { from: s, to: d })?;
     let corners = ep.corners(gc, s);
@@ -624,6 +797,121 @@ mod tests {
         }
         let st = cache.stats();
         assert!(st.hits > 0, "repeat keys must hit the cache: {st:?}");
+    }
+
+    /// The slow path alone: the entry checks, then the default schedule
+    /// through corner repair and every flip stage and crossing.
+    fn slow_route(
+        gc: &GaussianCube,
+        f: &FaultSet,
+        s: NodeId,
+        d: NodeId,
+    ) -> Result<(Route, FtgcrStats), RoutingError> {
+        check_endpoints(gc, f, s, d)?;
+        let plan = ffgcr::plan(gc, s, d);
+        execute_plan(gc, f, s, d, default_exec_plan(&plan), plan.hops())
+    }
+
+    /// Whether the fast path's guard passes for this plan.
+    fn guard_passes(gc: &GaussianCube, f: &FaultSet, s: NodeId, d: NodeId) -> bool {
+        let plan = ffgcr::plan(gc, s, d);
+        fast_uncached(gc, &default_exec_plan(&plan), plan.hops(), f, s).is_some()
+    }
+
+    /// `route` and `route_cached` both return exactly what the slow path
+    /// returns: nodes, stats and errors.
+    fn assert_matches_slow(gc: &GaussianCube, f: &FaultSet, s: NodeId, d: NodeId, c: &PlanCache) {
+        let slow = slow_route(gc, f, s, d);
+        let ctx = || {
+            format!(
+                "GC({}, {}) {s} -> {d} with {f:?}",
+                gc.n(),
+                1u64 << gc.alpha()
+            )
+        };
+        for got in [route(gc, f, s, d), route_cached(gc, f, s, d, c)] {
+            match (&slow, &got) {
+                (Ok((r1, st1)), Ok((r2, st2))) => {
+                    assert_eq!(r1.nodes(), r2.nodes(), "{}", ctx());
+                    assert_eq!(st1, st2, "{}", ctx());
+                }
+                (Err(e1), Err(e2)) => assert_eq!(e1, e2, "{}", ctx()),
+                (a, b) => panic!("{}: slow {a:?}, fast {b:?}", ctx()),
+            }
+        }
+    }
+
+    #[test]
+    fn fast_path_equals_slow_path() {
+        // Random shapes GC(n, 2^α) with α in 1..=4 and n ≤ 12, and 0–8
+        // faults, each with even odds placed within two bit flips of a
+        // node of the FFGCR route or anywhere in the cube.
+        let mut rng = Rng(0x5eed_fa57_1234_abcd);
+        let (mut fast, mut slow) = (0, 0);
+        for _shape in 0..100 {
+            let alpha = 1 + (rng.next() % 4) as u32;
+            let n = alpha + 1 + (rng.next() % u64::from(12 - alpha)) as u32;
+            let gc = GaussianCube::from_alpha(n, alpha).unwrap();
+            let cache = PlanCache::new(&gc);
+            for _plan in 0..50 {
+                let s = NodeId(rng.next() % gc.num_nodes());
+                let d = NodeId(rng.next() % gc.num_nodes());
+                let path = ffgcr::route(&gc, s, d).unwrap();
+                let mut f = FaultSet::new();
+                for _ in 0..rng.next() % 9 {
+                    let v = if rng.next().is_multiple_of(2) {
+                        let on = path.nodes()[(rng.next() % path.nodes().len() as u64) as usize];
+                        (0..rng.next() % 3)
+                            .fold(on, |v, _| v.flip((rng.next() % u64::from(n)) as u32))
+                    } else {
+                        NodeId(rng.next() % gc.num_nodes())
+                    };
+                    if rng.next().is_multiple_of(2) {
+                        f.add_node(v);
+                    } else {
+                        let ds = gc.link_dims(v);
+                        f.add_link(LinkId::new(v, ds[(rng.next() % ds.len() as u64) as usize]));
+                    }
+                }
+                assert_matches_slow(&gc, &f, s, d, &cache);
+                if check_endpoints(&gc, &f, s, d).is_ok() {
+                    if guard_passes(&gc, &f, s, d) {
+                        fast += 1;
+                    } else {
+                        slow += 1;
+                    }
+                }
+            }
+        }
+        assert!(fast >= 1000 && slow >= 1000, "fast {fast}, slow {slow}");
+    }
+
+    #[test]
+    fn guard_passes_just_outside_and_refuses_just_inside() {
+        // GC(8,4), 0 -> 196: walk 0 1 3 2 3 1 0 with flips only at the
+        // first visits of class 3 (dimension 7) and class 2 (dimensions 2
+        // and 6). The region is the class-3 subcube {3, 7} through the
+        // landing 00000011, the class-2 subcube {2, 6} through the landing
+        // 10000010, and the bare corners 0, 1, 199, 197 and 196.
+        let gc = GaussianCube::new(8, 4).unwrap();
+        let cache = PlanCache::new(&gc);
+        let (s, d) = (NodeId(0), NodeId(196));
+        let ff = ffgcr::route(&gc, s, d).unwrap();
+
+        // Node 00000010 neighbours s and the route node 00000011 but lies
+        // in no subcube of the region: the guard passes.
+        let mut outside = FaultSet::new();
+        outside.add_node(NodeId(0b0000_0010));
+        assert!(guard_passes(&gc, &outside, s, d));
+        assert_eq!(route(&gc, &outside, s, d).unwrap().0.nodes(), ff.nodes());
+        assert_matches_slow(&gc, &outside, s, d, &cache);
+
+        // Node 00001011 is off the route but inside the class-3 subcube
+        // the slow path's flip stage consults: the guard refuses.
+        let mut inside = FaultSet::new();
+        inside.add_node(NodeId(0b0000_1011));
+        assert!(!guard_passes(&gc, &inside, s, d));
+        assert_matches_slow(&gc, &inside, s, d, &cache);
     }
 
     #[test]

@@ -19,8 +19,10 @@
 //! The packed mask needs `2^α ≤ 64`; wider spines (α > 6, rare — the paper
 //! evaluates α ≤ 4) transparently fall back to the uncached planner. The
 //! cache is keyed purely by topology, so fault events never invalidate it:
-//! fault handling (FTGCR's plan repair and crossing detours) stays
-//! per-packet, downstream of the cached walk. See DESIGN.md §8.
+//! fault handling stays per-packet, downstream of the cached walk. FTGCR
+//! tests each cached walk against the current fault set and replays it
+//! directly when no fault lies in the subcubes it flips through; only the
+//! other plans run plan repair and crossing detours. See DESIGN.md §8.
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};

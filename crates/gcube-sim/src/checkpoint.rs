@@ -974,23 +974,15 @@ impl Checkpoint {
                 claim(slot, LIVE, QUEUED)?;
             }
         }
-        let link = |lo: u64, dim: u32| {
-            node(lo)?;
-            if dim < n_dims {
-                Ok(())
-            } else {
-                Err(format!("link dimension {dim} outside the cube"))
-            }
-        };
+        let target = |t: FaultTarget| t.check(n_dims).map_err(|e| e.to_string());
         for f in [&self.truth, &self.view] {
             f.nodes.iter().try_for_each(|&v| node(v))?;
-            f.links.iter().try_for_each(|&(lo, dim)| link(lo, dim))?;
+            f.links
+                .iter()
+                .try_for_each(|&(lo, dim)| target(FaultTarget::link(NodeId(lo), dim)))?;
         }
-        for (_, _, target, _) in &self.pending {
-            match *target {
-                FaultTarget::Node(v) => node(v.0)?,
-                FaultTarget::Link(l) => link(l.lo.0, l.dim)?,
-            }
+        for (_, _, t, _) in &self.pending {
+            target(*t)?;
         }
         let classes = 1usize << gc.alpha();
         if self.ledger.len() != classes {

@@ -52,6 +52,7 @@ use gcube_topology::GaussianCube;
 
 use crate::config::{KnowledgeModel, SimConfig};
 use crate::error::SimError;
+use crate::injection::FaultSchedule;
 use crate::session::SimSession;
 use crate::strategy::RoutingAlgorithm;
 use crate::traffic::place_node_faults;
@@ -67,9 +68,9 @@ pub struct Simulator<'a> {
 impl<'a> Simulator<'a> {
     /// Build a simulator; places `config.faulty_nodes` node faults.
     ///
-    /// Panics on an invalid configuration (bad cube parameters or an
-    /// out-of-range injection rate); use [`Simulator::try_new`] to handle
-    /// those as errors.
+    /// Panics on an invalid configuration (bad cube parameters, an
+    /// out-of-range injection rate or a scripted fault outside the cube);
+    /// use [`Simulator::try_new`] to handle those as errors.
     pub fn new(config: SimConfig, algorithm: &'a dyn RoutingAlgorithm) -> Simulator<'a> {
         match Self::try_new(config, algorithm) {
             Ok(sim) => sim,
@@ -78,8 +79,8 @@ impl<'a> Simulator<'a> {
     }
 
     /// Fallible constructor: validates the configuration (including the
-    /// injection rate, which used to be silently clamped) before building
-    /// anything.
+    /// injection rate, which used to be silently clamped) and every
+    /// scripted fault target before building anything.
     pub fn try_new(
         config: SimConfig,
         algorithm: &'a dyn RoutingAlgorithm,
@@ -91,6 +92,9 @@ impl<'a> Simulator<'a> {
                 modulus: config.modulus,
                 reason: e.to_string(),
             })?;
+        if let FaultSchedule::Scripted(events) = &config.schedule {
+            events.iter().try_for_each(|e| e.target.check(gc.n()))?;
+        }
         let faults = place_node_faults(&gc, config.faulty_nodes, config.seed);
         Ok(Simulator {
             gc,
@@ -158,6 +162,43 @@ mod tests {
         SimConfig::new(6, 2)
             .with_cycles(200, 2_000, 20)
             .with_rate(0.02)
+    }
+
+    #[test]
+    fn scripted_faults_outside_the_cube_are_typed_errors() {
+        // `gcube run 6 2 --rate 0.05 --cycles 50 --fault-at 10:link:0:70`
+        // and `--fault-at 10:node:999` used to panic when the fault applied.
+        let scripted = |target| {
+            SimConfig::new(6, 2)
+                .with_rate(0.05)
+                .with_cycles(50, 200, 0)
+                .with_schedule(FaultSchedule::Scripted(vec![TimedFault {
+                    cycle: 10,
+                    target,
+                    kind: FaultKind::Permanent,
+                }]))
+        };
+        for target in [
+            FaultTarget::link(NodeId(0), 70),
+            FaultTarget::Node(NodeId(999)),
+            FaultTarget::link(NodeId(0), 6),
+            FaultTarget::link(NodeId(64), 0),
+        ] {
+            let e = Simulator::try_new(scripted(target), &FaultTolerantGcr)
+                .err()
+                .expect("a target outside GC(6,4) must be refused");
+            assert_eq!(e, SimError::InvalidFaultTarget { target, n: 6 });
+            assert_eq!(e.code(), "invalid_fault_target");
+        }
+        for target in [
+            FaultTarget::Node(NodeId(63)),
+            FaultTarget::link(NodeId(63), 5),
+        ] {
+            let r = Simulator::new(scripted(target), &FaultTolerantGcr)
+                .session()
+                .run();
+            assert_eq!(r.metrics.fault_events, 1, "{target:?} applies");
+        }
     }
 
     #[test]

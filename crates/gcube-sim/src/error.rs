@@ -17,6 +17,8 @@
 
 use std::fmt;
 
+use crate::injection::FaultTarget;
+
 /// Why a simulation cannot be configured or started.
 #[derive(Clone, Debug, PartialEq)]
 #[non_exhaustive]
@@ -44,6 +46,14 @@ pub enum SimError {
     /// cycle, which finite buffers would immediately deadlock; the two
     /// options cannot be combined.
     CollectiveNeedsUnboundedBuffers,
+    /// A scripted fault names a node or link outside the cube (see
+    /// [`FaultTarget::check`]).
+    InvalidFaultTarget {
+        /// The target as scripted.
+        target: FaultTarget,
+        /// The cube's dimension count.
+        n: u32,
+    },
     /// A command-line argument failed to parse or combine.
     Cli(String),
 }
@@ -59,6 +69,7 @@ impl SimError {
             SimError::InvalidTopology { .. } => "invalid_topology",
             SimError::FiniteBuffersRequireSingleThread => "finite_buffers_single_thread",
             SimError::CollectiveNeedsUnboundedBuffers => "collective_needs_unbounded_buffers",
+            SimError::InvalidFaultTarget { .. } => "invalid_fault_target",
             SimError::Cli(_) => "cli",
         }
     }
@@ -84,6 +95,24 @@ impl fmt::Display for SimError {
                 f,
                 "collective traffic requires unbounded buffers (drop --buffer-capacity)"
             ),
+            SimError::InvalidFaultTarget { target, n } => match target {
+                FaultTarget::Node(v) => write!(
+                    f,
+                    "fault target node {0} lies outside the cube: node {0} is not below 2^{n}",
+                    v.0
+                ),
+                FaultTarget::Link(l) if l.dim >= *n => write!(
+                    f,
+                    "fault target link {}:{1} lies outside the cube: dimension {1} is not \
+                     below n = {n}",
+                    l.lo.0, l.dim
+                ),
+                FaultTarget::Link(l) => write!(
+                    f,
+                    "fault target link {0}:{1} lies outside the cube: node {0} is not below 2^{n}",
+                    l.lo.0, l.dim
+                ),
+            },
             SimError::Cli(msg) => write!(f, "{msg}"),
         }
     }
@@ -121,6 +150,14 @@ mod tests {
             .to_string()
             .contains("unbounded buffers"));
         assert_eq!(
+            SimError::InvalidFaultTarget {
+                target: FaultTarget::link(gcube_topology::NodeId(0), 70),
+                n: 6
+            }
+            .to_string(),
+            "fault target link 0:70 lies outside the cube: dimension 70 is not below n = 6"
+        );
+        assert_eq!(
             SimError::Cli("unknown flag".into()).to_string(),
             "unknown flag"
         );
@@ -138,6 +175,10 @@ mod tests {
             },
             SimError::FiniteBuffersRequireSingleThread,
             SimError::CollectiveNeedsUnboundedBuffers,
+            SimError::InvalidFaultTarget {
+                target: FaultTarget::Node(gcube_topology::NodeId(64)),
+                n: 6,
+            },
             SimError::Cli(String::new()),
         ];
         let codes: Vec<&str> = all.iter().map(|e| e.code()).collect();
@@ -149,6 +190,7 @@ mod tests {
                 "invalid_topology",
                 "finite_buffers_single_thread",
                 "collective_needs_unbounded_buffers",
+                "invalid_fault_target",
                 "cli",
             ]
         );

@@ -25,6 +25,8 @@ use rand::{Rng, SeedableRng};
 use gcube_routing::FaultSet;
 use gcube_topology::{GaussianCube, LinkId, NodeId, Topology};
 
+use crate::error::SimError;
+
 /// The component a fault event acts on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FaultTarget {
@@ -32,6 +34,37 @@ pub enum FaultTarget {
     Node(NodeId),
     /// A single link.
     Link(LinkId),
+}
+
+impl FaultTarget {
+    /// The link `v:dim` as read from input. A dimension past the label
+    /// width keeps `v` as written, since a `u64` has no such bit to clear,
+    /// so the target reaches [`FaultTarget::check`] instead of overflowing
+    /// a shift.
+    pub fn link(v: NodeId, dim: u32) -> FaultTarget {
+        FaultTarget::Link(if dim < 64 {
+            LinkId::new(v, dim)
+        } else {
+            LinkId { lo: v, dim }
+        })
+    }
+
+    /// Refuse a target outside a cube of `n` dimensions: a node label must
+    /// lie below `2^n`, and a link must leave such a node in a dimension
+    /// below `n`. `Simulator::try_new` applies it to scripted faults, and
+    /// checkpoint restore to its fault sets and pending events.
+    pub fn check(self, n: u32) -> Result<(), SimError> {
+        let node = |v: NodeId| v.0.checked_shr(n).unwrap_or(0) == 0;
+        let inside = match self {
+            FaultTarget::Node(v) => node(v),
+            FaultTarget::Link(l) => node(l.lo) && l.dim < n,
+        };
+        if inside {
+            Ok(())
+        } else {
+            Err(SimError::InvalidFaultTarget { target: self, n })
+        }
+    }
 }
 
 /// Fail or repair.

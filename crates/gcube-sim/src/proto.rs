@@ -26,7 +26,7 @@ use std::cell::Cell;
 use crate::config::{CollectiveOp, KnowledgeModel, SimConfig};
 use crate::injection::{CategoryMix, FaultKind, FaultSchedule, FaultTarget, TimedFault};
 use crate::traffic::TrafficPattern;
-use gcube_topology::{LinkId, NodeId};
+use gcube_topology::NodeId;
 
 // --- JSON value ---------------------------------------------------------
 
@@ -621,7 +621,7 @@ pub fn target_from_str(s: &str) -> Result<FaultTarget, String> {
             if it.next().is_some() {
                 return Err(bad());
             }
-            Ok(FaultTarget::Link(LinkId::new(NodeId(lo), dim)))
+            Ok(FaultTarget::link(NodeId(lo), dim))
         }
         _ => Err(bad()),
     }
@@ -985,6 +985,7 @@ impl Request {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gcube_topology::LinkId;
 
     #[test]
     fn json_parses_nested_values() {

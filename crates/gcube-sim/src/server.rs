@@ -1065,6 +1065,25 @@ mod tests {
         assert_eq!(code_of(&server.handle_line(&bad)), "invalid_topology");
     }
 
+    /// A scripted fault outside the cube is refused at `open` with its
+    /// typed code (it used to panic the session's first step), and the
+    /// connection keeps serving.
+    #[test]
+    fn open_refuses_fault_targets_outside_the_cube() {
+        use crate::injection::{FaultKind, FaultSchedule, FaultTarget, TimedFault};
+        use gcube_topology::NodeId;
+        let server = Server::new(ServerConfig::default());
+        let scripted = cfg().with_schedule(FaultSchedule::Scripted(vec![TimedFault {
+            cycle: 10,
+            target: FaultTarget::link(NodeId(0), 70),
+            kind: FaultKind::Permanent,
+        }]));
+        let bad = open_line("x", &scripted);
+        assert!(bad.contains("link:0:70"), "{bad}");
+        assert_eq!(code_of(&server.handle_line(&bad)), "invalid_fault_target");
+        parse_ok(&server.handle_line(&open_line("x", &cfg())));
+    }
+
     /// With every permit held, a cycle-advancing request gives up after
     /// `PERMIT_WAIT` with `overloaded`; once a permit is free, the same
     /// request succeeds.

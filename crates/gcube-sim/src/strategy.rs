@@ -219,9 +219,11 @@ impl RoutingAlgorithm for CachedFfgcr {
     }
 }
 
-/// FTGCR with the fault-free planning stage served from a [`PlanCache`];
-/// fault repair stays per-packet, so behaviour is identical to
-/// [`FaultTolerantGcr`] (property-tested).
+/// FTGCR with the fault-free planning stage served from a [`PlanCache`].
+/// A plan whose flip subcubes and corners hold no fault is replayed from
+/// the cached walk; every other plan runs fault repair per packet. Either
+/// way the routes are identical to [`FaultTolerantGcr`]'s
+/// (property-tested).
 #[derive(Debug, Default)]
 pub struct CachedFtgcr {
     shared: SharedCache,
