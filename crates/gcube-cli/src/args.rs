@@ -7,7 +7,7 @@ use gcube_sim::{
     CategoryMix, CollectiveOp, FaultKind, FaultSchedule, FaultTarget, KnowledgeModel, SimError,
     TimedFault,
 };
-use gcube_topology::{LinkId, NodeId};
+use gcube_topology::{GaussianCube, LinkId, NodeId};
 
 /// Routing strategy selector of `gcube run`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -405,6 +405,13 @@ pub fn parse(args: &[String]) -> Result<Command, SimError> {
             let modulus = parse_num(next(&mut it, "M")?, "modulus M")?;
             let s = parse_label(next(&mut it, "src")?)?;
             let d = parse_label(next(&mut it, "dst")?)?;
+            // Fault flags name nodes and links of this cube.
+            let gc = GaussianCube::new(n, modulus).map_err(|e| SimError::InvalidTopology {
+                n,
+                modulus,
+                reason: e.to_string(),
+            });
+            let check = |t: FaultTarget| t.check(gc.as_ref().map_err(SimError::clone)?);
             let mut fault_nodes = Vec::new();
             let mut fault_links = Vec::new();
             let mut fault_free = false;
@@ -412,7 +419,7 @@ pub fn parse(args: &[String]) -> Result<Command, SimError> {
                 match flag.as_str() {
                     "--fault-node" => {
                         let v = NodeId(parse_label(next(&mut it, "fault node")?)?);
-                        FaultTarget::Node(v).check(n)?;
+                        check(FaultTarget::Node(v))?;
                         fault_nodes.push(v);
                     }
                     "--fault-link" => {
@@ -421,7 +428,7 @@ pub fn parse(args: &[String]) -> Result<Command, SimError> {
                             SimError::Cli(format!("fault link must be V:DIM, got {spec}"))
                         })?;
                         let (v, dim) = (NodeId(parse_label(v)?), parse_num(dim, "link dimension")?);
-                        FaultTarget::link(v, dim).check(n)?;
+                        check(FaultTarget::link(v, dim))?;
                         fault_links.push(LinkId::new(v, dim));
                     }
                     "--fault-free" => fault_free = true,
@@ -883,6 +890,8 @@ mod tests {
             ("--fault-link 0:6", FaultTarget::link(NodeId(0), 6)),
             ("--fault-link 64:0", FaultTarget::link(NodeId(64), 0)),
             ("--fault-node 64", FaultTarget::Node(NodeId(64))),
+            // Node 0 of GC(6,2) has no dimension-5 link (Theorem 1).
+            ("--fault-link 0:5", FaultTarget::link(NodeId(0), 5)),
         ] {
             let e = parse(&argv(&format!("route 6 2 0 5 {bad}"))).unwrap_err();
             assert_eq!(e, SimError::InvalidFaultTarget { target, n: 6 }, "{bad}");

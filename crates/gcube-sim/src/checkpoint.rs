@@ -1,6 +1,6 @@
-//! Deterministic mid-run engine checkpoints: serialize a paused one-shard
-//! run so a later process can resume it **bitwise** — same
-//! remaining trace events, same final metrics, same artifacts.
+//! Deterministic mid-run engine checkpoints: serialize a paused run so a
+//! later process can resume it **bitwise** — same remaining trace events,
+//! same final metrics, same artifacts — on any number of shards.
 //!
 //! A checkpoint file is line-oriented: an [`ArtifactMeta`] header
 //! (`kind = checkpoint`, carrying the cube shape, seed, and strategy wire
@@ -9,9 +9,22 @@
 //! captured explicitly: both RNG streams (traffic and fault injector) as
 //! raw xoshiro words, the ground-truth and routing-view fault sets
 //! (sorted — their in-memory form hashes nondeterministically), the
-//! scheduled-but-unapplied fault operations, the full metrics block, the
-//! live packet arena *including its freelist order* (slot allocation
-//! order feeds packet service order), and each node's FIFO queue.
+//! scheduled-but-unapplied fault operations, the metrics, windows and
+//! collective-op records summed over every shard, and every queued
+//! packet, node by node and front to back.
+//!
+//! Arena slot numbers are not state. The kernel uses a slot only as a
+//! handle: the scan serves nodes in rotated node order and pops each
+//! node's FIFO head, arrivals merge by service index and packet id, and
+//! every count and trace event is keyed by packet id and node. A
+//! multi-shard run gives each packet a new slot whenever it crosses into
+//! another shard and still equals the one-shard run bitwise. So capture
+//! numbers slots densely in queue order with an empty freelist — still
+//! the format-1 text — and restore puts each packet at the back of its
+//! node's queue in whichever shard owns the node. Files written with
+//! sparse slots and a freelist restore the same way. The text at a given
+//! cycle is byte-identical at every thread count (the header's `threads`
+//! is always 1), and it restores at any thread count.
 //!
 //! What is *not* captured is anything derivable: the cube, the link
 //! table, unicast plan caches, and per-cycle scratch are rebuilt from
@@ -33,13 +46,15 @@ use gcube_routing::{BroadcastTree, FaultSet, HealthState, RepairOutcome, Route, 
 use gcube_topology::{GaussianCube, LinkId, NodeId, Topology};
 
 use crate::artifact::{ArtifactKind, ArtifactMeta, ARTIFACT_FORMAT};
+use crate::collective::{OpTracker, RepairLedger};
 use crate::config::SimConfig;
 use crate::engine::Simulator;
 use crate::injection::{FaultAction, FaultEvent, FaultKind, FaultTarget, PendingOp};
 use crate::metrics::{Histogram, Metrics, OpStat, WindowStat, HIST_BUCKETS, MAX_TREES};
+use crate::packet::Packet;
 use crate::proto::{self, Fields, JsonValue, Line, View};
 use crate::shard::Coordinator;
-use crate::soa::{LinkTable, NodeQueues, PacketStore, NIL};
+use crate::soa::{LinkTable, NIL};
 use crate::telemetry::{FaultBudgetMonitor, NullTelemetry};
 use crate::trace::NullSink;
 
@@ -259,19 +274,6 @@ impl TreeRepr {
     }
 }
 
-/// One in-flight packet: its arena slot and every per-packet column.
-#[derive(Clone, Debug, PartialEq)]
-struct LivePacket {
-    slot: u32,
-    id: u64,
-    injected_at: u64,
-    hop_idx: u32,
-    hops_taken: u32,
-    planned_hops: u32,
-    reroutes: u32,
-    route: Vec<u64>,
-}
-
 // --- the checkpoint -----------------------------------------------------
 
 /// A serialized engine state, restorable bitwise. Build one with
@@ -303,7 +305,8 @@ pub struct Checkpoint {
     windows: Vec<WindowStat>,
     arena: usize,
     free: Vec<u32>,
-    live: Vec<LivePacket>,
+    /// Every in-flight packet with its slot id.
+    live: Vec<(u32, Packet)>,
     queues: Vec<(u64, Vec<u32>)>,
     ledger: Vec<Option<(NodeId, u64)>>,
     ops: Vec<OpStat>,
@@ -327,53 +330,25 @@ impl Checkpoint {
             )
         })?;
 
-        // Live packets: every arena slot not on the freelist.
-        let arena = shard.store.id.len();
-        let mut is_free = vec![false; arena];
-        for &s in &shard.store.free {
-            is_free[s as usize] = true;
-        }
+        // Every queued packet, node by node and front to back, in dense
+        // slots (see the module docs).
+        let shards: Vec<_> = core.shards().collect();
         let mut live = Vec::with_capacity(core.in_flight as usize);
-        for (slot, free) in is_free.iter().enumerate() {
-            if *free {
-                continue;
-            }
-            let route = shard.store.routes[slot]
-                .as_ref()
-                .ok_or_else(|| format!("live packet in slot {slot} has no route"))?;
-            live.push(LivePacket {
-                slot: slot as u32,
-                id: shard.store.id[slot],
-                injected_at: shard.store.injected_at[slot],
-                hop_idx: shard.store.hop_idx[slot],
-                hops_taken: shard.store.hops_taken[slot],
-                planned_hops: shard.store.planned_hops[slot],
-                reroutes: shard.store.reroutes[slot],
-                route: route.nodes().iter().map(|v| v.0).collect(),
-            });
-        }
-
-        // Per-node FIFO order, front to back, non-empty queues only.
-        let n_nodes = sim.cube().num_nodes();
         let mut queues = Vec::new();
-        for v in 0..n_nodes as usize {
-            let len = shard.queues.len(v);
-            if len == 0 {
+        for v in 0..sim.cube().num_nodes() {
+            let owner = shards[core.owner_of(NodeId(v))];
+            let Some(mut s) = owner.queues.front(v as usize) else {
                 continue;
-            }
-            let mut slots = Vec::with_capacity(len);
-            let mut s = shard.queues.front(v).expect("non-empty queue has a front");
+            };
+            let first = live.len() as u32;
             loop {
-                slots.push(s);
-                match shard.store.next[s as usize] {
+                live.push((live.len() as u32, owner.store.snapshot(s)));
+                match owner.store.next[s as usize] {
                     NIL => break,
                     nxt => s = nxt,
                 }
             }
-            if slots.len() != len {
-                return Err(format!("queue {v} chain length mismatch"));
-            }
-            queues.push((v as u64, slots));
+            queues.push((v, (first..live.len() as u32).collect()));
         }
 
         let mut pending = Vec::new();
@@ -383,6 +358,7 @@ impl Checkpoint {
             }
         }
 
+        let (metrics, windows, ops) = core.reduce();
         Ok(Checkpoint {
             config: sim.config().clone(),
             strategy: strategy.to_string(),
@@ -403,14 +379,14 @@ impl Checkpoint {
             view: FaultsRepr::capture(&shard.view),
             pending,
             fault_trace: shard.injector.trace().to_vec(),
-            metrics: shard.metrics,
-            windows: shard.windows.clone(),
-            arena,
-            free: shard.store.free.clone(),
+            metrics,
+            windows,
+            arena: live.len(),
+            free: Vec::new(),
             live,
             queues,
             ledger: core.repair_ledger.last().to_vec(),
-            ops: shard.op_tracker.ops().to_vec(),
+            ops,
             tree_cache: shard
                 .collective
                 .as_ref()
@@ -584,17 +560,16 @@ impl Checkpoint {
         let live: Vec<String> = self
             .live
             .iter()
-            .map(|p| {
+            .map(|(slot, p)| {
                 format!(
-                    "[{},{},{},{},{},{},{},{}]",
-                    p.slot,
+                    "[{slot},{},{},{},{},{},{},{}]",
                     p.id,
                     p.injected_at,
                     p.hop_idx,
                     p.hops_taken,
                     p.planned_hops,
                     p.reroutes,
-                    u64_arr(p.route.iter().copied()),
+                    u64_arr(p.route.nodes().iter().map(|v| v.0)),
                 )
             })
             .collect();
@@ -798,16 +773,21 @@ impl Checkpoint {
             else {
                 return Err("live packet must hold 8 columns".into());
             };
-            live.push(LivePacket {
-                slot: to_u32(elem_u64(slot)?)?,
+            let route = u64s(route.as_arr().ok_or("route must be an array")?)?;
+            if route.is_empty() {
+                return Err("a route holds at least its source".into());
+            }
+            let col = |v: &JsonValue| Ok::<_, String>(u64::from(to_u32(elem_u64(v)?)?));
+            let packet = Packet {
                 id: elem_u64(id)?,
                 injected_at: elem_u64(injected_at)?,
-                hop_idx: to_u32(elem_u64(hop_idx)?)?,
-                hops_taken: to_u32(elem_u64(hops_taken)?)?,
-                planned_hops: to_u32(elem_u64(planned_hops)?)?,
+                hop_idx: col(hop_idx)? as usize,
+                route: Route::new(route.into_iter().map(NodeId).collect()),
+                hops_taken: col(hops_taken)?,
+                planned_hops: col(planned_hops)?,
                 reroutes: to_u32(elem_u64(reroutes)?)?,
-                route: u64s(route.as_arr().ok_or("route must be an array")?)?,
-            });
+            };
+            live.push((to_u32(elem_u64(slot)?)?, packet));
         }
 
         let mut queue_items = Vec::new();
@@ -906,13 +886,16 @@ impl Checkpoint {
 
     /// Check every value [`Checkpoint::rebuild`] sizes or indexes with
     /// before it allocates: the arena holds exactly the live and free
-    /// slots listed, each slot once; every queued slot is live and queued
-    /// once; node ids and link dimensions lie inside the cube; each
-    /// packet's hop index lies inside its route, and each hop of the route
-    /// is a link of the cube; and the repair ledger has one entry per
-    /// ending class.
-    fn validate(&self, gc: &GaussianCube) -> Result<(), String> {
-        let (n_nodes, n_dims) = (gc.num_nodes(), gc.n());
+    /// slots listed, each slot once; every queued slot is live, queued
+    /// once, and sits at the node it is queued at; node ids lie inside the
+    /// cube and fault links are links of it; each packet's hop index lies
+    /// inside its route, and each hop of the route is a link of the cube;
+    /// and the repair ledger has one entry per ending class. Returns each
+    /// slot's index into `live` (`FREE` for a free slot).
+    fn validate(&self, gc: &GaussianCube) -> Result<Vec<usize>, String> {
+        const UNLISTED: usize = usize::MAX;
+        const FREE: usize = usize::MAX - 1;
+        let n_nodes = gc.num_nodes();
         if self.arena != self.live.len() + self.free.len() {
             return Err(format!(
                 "arena of {} slots, but {} live and {} free slots listed",
@@ -921,23 +904,18 @@ impl Checkpoint {
                 self.free.len()
             ));
         }
-        const FREE: u8 = 1;
-        const LIVE: u8 = 2;
-        const QUEUED: u8 = 3;
-        let mut state = vec![0u8; self.arena];
-        let mut claim = |slot: u32, from: u8, to: u8| match state.get_mut(slot as usize) {
-            Some(s) if *s == from => {
-                *s = to;
+        let outside = |slot: u32| format!("slot {slot} outside the arena of {}", self.arena);
+        let mut index = vec![UNLISTED; self.arena];
+        let mut list = |slot: u32, entry: usize| match index.get_mut(slot as usize) {
+            Some(e) if *e == UNLISTED => {
+                *e = entry;
                 Ok(())
             }
-            Some(_) if from == LIVE => Err(format!(
-                "queued slot {slot} is not a live packet, or is queued twice"
-            )),
             Some(_) => Err(format!("slot {slot} listed twice")),
-            None => Err(format!("slot {slot} outside the arena of {}", self.arena)),
+            None => Err(outside(slot)),
         };
         for &slot in &self.free {
-            claim(slot, 0, FREE)?;
+            list(slot, FREE)?;
         }
         let node = |v: u64| {
             if v < n_nodes {
@@ -946,35 +924,51 @@ impl Checkpoint {
                 Err(format!("node {v} outside the cube"))
             }
         };
-        for p in &self.live {
-            claim(p.slot, 0, LIVE)?;
-            if p.hop_idx as usize >= p.route.len() {
+        for (i, &(slot, ref p)) in self.live.iter().enumerate() {
+            list(slot, i)?;
+            let route = p.route.nodes();
+            if p.hop_idx >= route.len() {
                 return Err(format!(
-                    "packet in slot {} is at hop {} of a {}-node route",
-                    p.slot,
+                    "packet in slot {slot} is at hop {} of a {}-node route",
                     p.hop_idx,
-                    p.route.len()
+                    route.len()
                 ));
             }
-            p.route.iter().try_for_each(|&v| node(v))?;
-            for hop in p.route.windows(2) {
-                let flipped = hop[0] ^ hop[1];
+            route.iter().try_for_each(|v| node(v.0))?;
+            for hop in route.windows(2) {
+                let flipped = hop[0].0 ^ hop[1].0;
                 let dim = flipped.trailing_zeros();
-                if flipped.count_ones() != 1 || !gc.has_link(NodeId(hop[0]), dim) {
+                if flipped.count_ones() != 1 || !gc.has_link(hop[0], dim) {
                     return Err(format!(
-                        "packet in slot {} hops {} -> {}, not a link of the cube",
-                        p.slot, hop[0], hop[1]
+                        "packet in slot {slot} hops {} -> {}, not a link of the cube",
+                        hop[0].0, hop[1].0
                     ));
                 }
             }
         }
-        for (v, slots) in &self.queues {
-            node(*v)?;
+        let mut queued = vec![false; self.live.len()];
+        for &(v, ref slots) in &self.queues {
+            node(v)?;
             for &slot in slots {
-                claim(slot, LIVE, QUEUED)?;
+                let i = match index.get(slot as usize) {
+                    Some(&i) if i < self.live.len() && !queued[i] => i,
+                    Some(_) => {
+                        return Err(format!(
+                            "queued slot {slot} is not a live packet, or is queued twice"
+                        ))
+                    }
+                    None => return Err(outside(slot)),
+                };
+                queued[i] = true;
+                let at = self.live[i].1.current().0;
+                if at != v {
+                    return Err(format!(
+                        "packet in slot {slot} is queued at node {v} but sits at node {at}"
+                    ));
+                }
             }
         }
-        let target = |t: FaultTarget| t.check(n_dims).map_err(|e| e.to_string());
+        let target = |t: FaultTarget| t.check(gc).map_err(|e| e.to_string());
         for f in [&self.truth, &self.view] {
             f.nodes.iter().try_for_each(|&v| node(v))?;
             f.links
@@ -991,14 +985,14 @@ impl Checkpoint {
                 self.ledger.len()
             ));
         }
-        Ok(())
+        Ok(index)
     }
 
-    /// Rebuild a running engine from this checkpoint. `sim` must have been
-    /// constructed from [`Checkpoint::config`] and a strategy matching
-    /// [`Checkpoint::strategy`] / [`Checkpoint::trees`] — derived state
-    /// (cube, link table, plan caches) is rebuilt from it.
-    pub(crate) fn rebuild(&self, sim: &Simulator) -> Result<Coordinator, String> {
+    /// Rebuild a running engine on `shards` shards from this checkpoint.
+    /// `sim` must have been constructed from [`Checkpoint::config`] and a
+    /// strategy matching [`Checkpoint::strategy`] / [`Checkpoint::trees`]
+    /// — derived state (cube, link table, plan caches) is rebuilt from it.
+    pub(crate) fn rebuild(&self, sim: &Simulator, shards: usize) -> Result<Coordinator, String> {
         if sim.config() != &self.config {
             return Err("simulator config differs from the checkpoint's".into());
         }
@@ -1011,22 +1005,24 @@ impl Checkpoint {
                 ));
             }
         }
-        self.validate(sim.cube())?;
-        let n_nodes = sim.cube().num_nodes();
+        let index = self.validate(sim.cube())?;
 
         // Null sinks on purpose: the cycle-0 health event was already
         // emitted by the original run (it sits before the trace mark).
-        let mut core = Coordinator::new(sim, 1, &mut NullSink, &mut NullTelemetry);
+        let mut core = Coordinator::new(sim, shards, &mut NullSink, &mut NullTelemetry);
         core.cycle = self.cycle;
         core.done = self.done;
         core.ended_at = self.ended_at;
         core.next_id = self.next_id;
         core.in_flight = self.in_flight;
-        let shard = &mut core.shard;
-        shard.converge_at = self.converge_at;
-        shard.synced = self.synced;
-
         core.traffic.restore_rng(self.traffic_rng);
+        core.monitor = FaultBudgetMonitor::from_parts(
+            self.monitor_state,
+            sim.algorithm().survives_bound_exceeded(),
+            self.monitor_downgraded,
+        );
+        core.repair_ledger = RepairLedger::from_last(self.ledger.clone());
+
         let mut pending: BTreeMap<u64, Vec<PendingOp>> = BTreeMap::new();
         for &(cycle, action, target, kind) in &self.pending {
             pending.entry(cycle).or_default().push(PendingOp {
@@ -1035,67 +1031,59 @@ impl Checkpoint {
                 kind,
             });
         }
-        shard
-            .injector
-            .restore(self.injector_rng, pending, self.fault_trace.clone());
-        core.monitor = FaultBudgetMonitor::from_parts(
-            self.monitor_state,
-            sim.algorithm().survives_bound_exceeded(),
-            self.monitor_downgraded,
-        );
-
-        shard.truth = self.truth.rebuild();
-        shard.view = self.view.rebuild();
-        shard.links = LinkTable::new(n_nodes, sim.cube().n());
-        shard.links.sync(&shard.truth);
-
-        shard.metrics = self.metrics;
-        shard.windows = self.windows.clone();
-
-        // Packet arena: default-fill every column to the captured length
-        // (freed slots hold junk in the original too — allocation
-        // overwrites every column), then overwrite the live slots and
-        // restore the freelist order exactly, since it dictates which slot
-        // the next injection lands in.
-        let mut store = PacketStore::new();
-        store.id.resize(self.arena, 0);
-        store.injected_at.resize(self.arena, 0);
-        store.hop_idx.resize(self.arena, 0);
-        store.hops_taken.resize(self.arena, 0);
-        store.planned_hops.resize(self.arena, 0);
-        store.reroutes.resize(self.arena, 0);
-        store.routes.resize(self.arena, None);
-        store.next.resize(self.arena, NIL);
-        for p in &self.live {
-            let s = p.slot as usize;
-            store.id[s] = p.id;
-            store.injected_at[s] = p.injected_at;
-            store.hop_idx[s] = p.hop_idx;
-            store.hops_taken[s] = p.hops_taken;
-            store.planned_hops[s] = p.planned_hops;
-            store.reroutes[s] = p.reroutes;
-            store.routes[s] = Some(Route::new(p.route.iter().map(|&v| NodeId(v)).collect()));
-        }
-        store.free = self.free.clone();
-
-        let mut queues = NodeQueues::new(n_nodes);
-        for (v, slots) in &self.queues {
-            let v = *v as usize;
-            for &slot in slots {
-                queues.push_back(&mut store, v, slot);
+        let (truth, view) = (self.truth.rebuild(), self.view.rebuild());
+        let (n_nodes, n_dims) = (sim.cube().num_nodes(), sim.cube().n());
+        for (s, shard) in core.shards_mut().enumerate() {
+            // Every shard holds a replica of the fault state.
+            shard.converge_at = self.converge_at;
+            shard.synced = self.synced;
+            shard
+                .injector
+                .restore(self.injector_rng, pending.clone(), self.fault_trace.clone());
+            shard.truth = truth.clone();
+            shard.view = view.clone();
+            shard.links = LinkTable::new(n_nodes, n_dims);
+            shard.links.sync(&shard.truth);
+            // The counts restore into the coordinator. Workers get the
+            // same windows and collective ops with nothing counted yet,
+            // so the positional reduction lines up.
+            if s == 0 {
+                shard.metrics = self.metrics;
+                shard.windows = self.windows.clone();
+                shard.op_tracker = OpTracker::from_ops(self.ops.clone());
+            } else {
+                let windows = self.windows.iter().map(|w| WindowStat {
+                    start: w.start,
+                    end: w.end,
+                    ..WindowStat::default()
+                });
+                shard.windows = windows.collect();
+                let ops = self.ops.iter().map(|o| OpStat {
+                    delivered: 0,
+                    dropped: 0,
+                    last_delivery: 0,
+                    ..*o
+                });
+                shard.op_tracker = OpTracker::from_ops(ops.collect());
             }
-            shard.class_queued[v & shard.cmask] += slots.len() as u64;
-            shard.class_occupied[v & shard.cmask] += 1;
         }
-        shard.store = store;
-        shard.queues = queues;
 
-        core.repair_ledger = crate::collective::RepairLedger::from_last(self.ledger.clone());
-        shard.op_tracker = crate::collective::OpTracker::from_ops(self.ops.clone());
-        // Re-seed the collective tree cache: a regraft diffs against the
-        // cached previous tree, so both the next repair outcome and the
-        // patched tree's shape depend on this history.
-        if let Some(cp) = &shard.collective {
+        for &(v, ref slots) in &self.queues {
+            let owner = core.owner_of(NodeId(v));
+            let shard = core
+                .shards_mut()
+                .nth(owner)
+                .expect("every class has an owner");
+            for &slot in slots {
+                shard.insert_arrival(self.live[index[slot as usize]].1.clone());
+            }
+        }
+
+        // Re-seed the collective tree cache, which every shard shares: a
+        // regraft diffs against the cached previous tree, so both the
+        // next repair outcome and the patched tree's shape depend on this
+        // history.
+        if let Some(cp) = &core.shard.collective {
             for t in &self.tree_cache {
                 cp.cache().restore_tree(t.rebuild()?);
             }
@@ -1140,32 +1128,25 @@ mod tests {
         let algo = build_strategy("ftgcr", 0).unwrap();
         let sim = Simulator::try_new(cfg.clone(), &*algo).unwrap();
 
+        let (mut telem, mut prof) = (NullTelemetry, NullProfiler);
         let mut sink = MemorySink::default();
-        let mut core = Coordinator::new(&sim, 1, &mut sink, &mut NullTelemetry);
-        while core.cycle < pause
-            && !core.step(&sim, None, &mut sink, &mut NullTelemetry, &mut NullProfiler)
-        {}
+        let mut core = Coordinator::new(&sim, 1, &mut sink, &mut telem);
+        core.step_many(&sim, pause, &mut sink, &mut telem, &mut prof);
         let ck = Checkpoint::capture(&sim, &core, sink.events().len() as u64).unwrap();
         let back = Checkpoint::from_text(&ck.to_text()).unwrap();
         assert_eq!(back, ck, "text form must round-trip");
 
         // Finish the original run untouched.
-        while !core.step(&sim, None, &mut sink, &mut NullTelemetry, &mut NullProfiler) {}
-        let full = core.finish(&sim, None, &mut NullTelemetry, &mut NullProfiler);
+        core.step_many(&sim, u64::MAX, &mut sink, &mut telem, &mut prof);
+        let full = core.finish(&sim, &mut telem, &mut prof);
 
         // Resume from the parsed checkpoint in a fresh simulator.
         let algo2 = build_strategy(back.strategy(), back.trees()).unwrap();
         let sim2 = Simulator::try_new(back.config().clone(), &*algo2).unwrap();
         let mut sink2 = MemorySink::default();
-        let mut core2 = back.rebuild(&sim2).unwrap();
-        while !core2.step(
-            &sim2,
-            None,
-            &mut sink2,
-            &mut NullTelemetry,
-            &mut NullProfiler,
-        ) {}
-        let resumed = core2.finish(&sim2, None, &mut NullTelemetry, &mut NullProfiler);
+        let mut core2 = back.rebuild(&sim2, 1).unwrap();
+        core2.step_many(&sim2, u64::MAX, &mut sink2, &mut telem, &mut prof);
+        let resumed = core2.finish(&sim2, &mut telem, &mut prof);
 
         let mark = back.trace_mark() as usize;
         assert_eq!(
@@ -1221,14 +1202,14 @@ mod tests {
         let other_cfg = cfg.clone().with_seed(1);
         let sim_seed = Simulator::try_new(other_cfg, &*algo).unwrap();
         assert!(
-            ck.rebuild(&sim_seed).is_err(),
+            ck.rebuild(&sim_seed, 1).is_err(),
             "wrong config must be refused"
         );
 
         let ffgcr = build_strategy("ffgcr", 0).unwrap();
         let sim_algo = Simulator::try_new(cfg, &*ffgcr).unwrap();
         assert!(
-            ck.rebuild(&sim_algo).is_err(),
+            ck.rebuild(&sim_algo, 1).is_err(),
             "wrong strategy must be refused"
         );
     }
@@ -1310,6 +1291,13 @@ mod tests {
         assert!(err.contains("outside the arena"), "{err}");
     }
 
+    /// Append `v` to the first live packet's route.
+    fn extend_route(c: &mut Checkpoint, v: NodeId) {
+        let mut nodes = c.live[0].1.route.nodes().to_vec();
+        nodes.push(v);
+        c.live[0].1.route = Route::new(nodes);
+    }
+
     /// Every other inconsistency `rebuild` would index with is refused
     /// too, each with its own reason.
     #[test]
@@ -1318,22 +1306,26 @@ mod tests {
         let sim = Simulator::try_new(churn_config(), &*algo).unwrap();
         let mut stepper = sim.session().stepper();
         stepper.step_many(60);
-        let ck = stepper.checkpoint(0).unwrap();
+        let mut ck = stepper.checkpoint(0).unwrap();
+        scatter_slots(&mut ck);
         assert!(!ck.free.is_empty() && ck.live.len() >= 2);
         type Edit = fn(&mut Checkpoint);
-        let edits: [(&str, Edit); 10] = [
-            ("listed twice", |c| c.free.push(c.live[0].slot)),
-            ("listed twice", |c| c.live[1].slot = c.live[0].slot),
+        let edits: [(&str, Edit); 11] = [
+            ("listed twice", |c| c.free.push(c.live[0].0)),
+            ("listed twice", |c| c.live[1].0 = c.live[0].0),
             ("not a live packet", |c| c.queues[0].1.push(c.free[0])),
             ("queued twice", |c| {
                 let s = c.queues[0].1[0];
                 c.queues[0].1.push(s);
             }),
-            ("hop", |c| c.live[0].hop_idx = c.live[0].route.len() as u32),
-            ("node 64 outside", |c| c.live[0].route.push(64)),
+            ("hop", |c| {
+                c.live[0].1.hop_idx = c.live[0].1.route.nodes().len()
+            }),
+            ("queued at node", |c| c.queues[0].0 ^= 1),
+            ("node 64 outside", |c| extend_route(c, NodeId(64))),
             ("not a link", |c| {
-                let last = *c.live[0].route.last().unwrap();
-                c.live[0].route.push(last ^ 3);
+                let last = c.live[0].1.dest();
+                extend_route(c, NodeId(last.0 ^ 3));
             }),
             ("node 70 outside", |c| c.truth.nodes.push(70)),
             ("dimension 6", |c| c.view.links.push((0, 6))),
@@ -1343,9 +1335,52 @@ mod tests {
             let mut bad = ck.clone();
             edit(&mut bad);
             bad.arena = bad.live.len() + bad.free.len();
-            let err = bad.rebuild(&sim).map(drop).unwrap_err();
+            let err = bad.rebuild(&sim, 1).map(drop).unwrap_err();
             assert!(err.contains(want), "want {want:?}, got {err}");
         }
+    }
+
+    /// Rewrite `ck` in the shape an arena-recording capture wrote: live
+    /// slots scattered over a larger arena in reverse queue order, listed
+    /// in slot order, with every gap on the freelist.
+    fn scatter_slots(ck: &mut Checkpoint) {
+        let n = ck.live.len() as u32;
+        let scatter = |s: u32| 3 * (n - 1 - s) + 2;
+        for (slot, _) in &mut ck.live {
+            *slot = scatter(*slot);
+        }
+        for (_, slots) in &mut ck.queues {
+            slots.iter_mut().for_each(|s| *s = scatter(*s));
+        }
+        ck.live.sort_by_key(|&(slot, _)| slot);
+        ck.arena = 3 * n as usize + 1;
+        ck.free = (0..ck.arena as u32).rev().filter(|s| s % 3 != 2).collect();
+    }
+
+    /// Slot numbers are not state: a checkpoint with sparse slots and a
+    /// non-empty freelist restores to the same run as the dense one.
+    #[test]
+    fn scattered_slots_restore_bitwise() {
+        let algo = build_strategy("ftgcr", 0).unwrap();
+        let sim = Simulator::try_new(churn_config(), &*algo).unwrap();
+        let mut stepper = sim.session().stepper();
+        stepper.step_many(97);
+        let dense = stepper.checkpoint(0).unwrap();
+        assert!(dense.live.len() >= 2, "the pause must hold packets");
+        let mut sparse = dense.clone();
+        scatter_slots(&mut sparse);
+        let sparse = Checkpoint::from_text(&sparse.to_text()).unwrap();
+        assert!(!sparse.free.is_empty());
+        let finish = |ck: &Checkpoint| {
+            let algo = build_strategy("ftgcr", 0).unwrap();
+            let sim = Simulator::try_new(churn_config(), &*algo).unwrap();
+            let mut sink = MemorySink::default();
+            let mut st = sim.session().trace(&mut sink).stepper_from(ck).unwrap();
+            st.step_many(u64::MAX);
+            let report = st.finish();
+            (report, to_jsonl(sink.events()))
+        };
+        assert_eq!(finish(&dense), finish(&sparse));
     }
 
     #[test]

@@ -274,11 +274,6 @@ impl OpTracker {
         }
     }
 
-    /// Consume the tracker, yielding its records.
-    pub fn into_ops(self) -> Vec<OpStat> {
-        self.ops
-    }
-
     /// Checkpoint view of the per-operation records.
     pub fn ops(&self) -> &[OpStat] {
         &self.ops

@@ -93,7 +93,7 @@ impl<'a> Simulator<'a> {
                 reason: e.to_string(),
             })?;
         if let FaultSchedule::Scripted(events) = &config.schedule {
-            events.iter().try_for_each(|e| e.target.check(gc.n()))?;
+            events.iter().try_for_each(|e| e.target.check(&gc))?;
         }
         let faults = place_node_faults(&gc, config.faulty_nodes, config.seed);
         Ok(Simulator {
@@ -183,6 +183,9 @@ mod tests {
             FaultTarget::Node(NodeId(999)),
             FaultTarget::link(NodeId(0), 6),
             FaultTarget::link(NodeId(64), 0),
+            // Dimension 5 is below n, but node 0 (ending class 0 of
+            // GC(6,2)) has no dimension-5 link (Theorem 1).
+            FaultTarget::link(NodeId(0), 5),
         ] {
             let e = Simulator::try_new(scripted(target), &FaultTolerantGcr)
                 .err()

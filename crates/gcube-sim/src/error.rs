@@ -46,7 +46,7 @@ pub enum SimError {
     /// cycle, which finite buffers would immediately deadlock; the two
     /// options cannot be combined.
     CollectiveNeedsUnboundedBuffers,
-    /// A scripted fault names a node or link outside the cube (see
+    /// A fault target names a node or link the cube does not have (see
     /// [`FaultTarget::check`]).
     InvalidFaultTarget {
         /// The target as scripted.
@@ -107,9 +107,15 @@ impl fmt::Display for SimError {
                      below n = {n}",
                     l.lo.0, l.dim
                 ),
-                FaultTarget::Link(l) => write!(
+                FaultTarget::Link(l) if l.lo.0.checked_shr(*n).unwrap_or(0) != 0 => write!(
                     f,
                     "fault target link {0}:{1} lies outside the cube: node {0} is not below 2^{n}",
+                    l.lo.0, l.dim
+                ),
+                FaultTarget::Link(l) => write!(
+                    f,
+                    "fault target link {0}:{1} is not a link of the cube: node {0} has no \
+                     dimension-{1} link",
                     l.lo.0, l.dim
                 ),
             },

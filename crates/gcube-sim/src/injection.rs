@@ -49,20 +49,21 @@ impl FaultTarget {
         })
     }
 
-    /// Refuse a target outside a cube of `n` dimensions: a node label must
-    /// lie below `2^n`, and a link must leave such a node in a dimension
-    /// below `n`. `Simulator::try_new` applies it to scripted faults, and
-    /// checkpoint restore to its fault sets and pending events.
-    pub fn check(self, n: u32) -> Result<(), SimError> {
-        let node = |v: NodeId| v.0.checked_shr(n).unwrap_or(0) == 0;
+    /// Refuse a target that is not a node or link of `gc` (for a link, a
+    /// dimension below `n` is not enough: Theorem 1). `Simulator::try_new`,
+    /// `gcube route` and checkpoint restore apply it.
+    pub fn check(self, gc: &GaussianCube) -> Result<(), SimError> {
         let inside = match self {
-            FaultTarget::Node(v) => node(v),
-            FaultTarget::Link(l) => node(l.lo) && l.dim < n,
+            FaultTarget::Node(v) => gc.contains(v),
+            FaultTarget::Link(l) => gc.contains(l.lo) && gc.has_link(l.lo, l.dim),
         };
         if inside {
             Ok(())
         } else {
-            Err(SimError::InvalidFaultTarget { target: self, n })
+            Err(SimError::InvalidFaultTarget {
+                target: self,
+                n: gc.n(),
+            })
         }
     }
 }

@@ -11,7 +11,7 @@ use gcube_topology::NodeId;
 /// faults the plan can become invalid mid-flight: the engine then rewrites
 /// `route` from the current node (a local re-route), so `hops_taken` and
 /// `planned_hops` diverge and their difference is the detour cost.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Packet {
     /// Unique id (injection order).
     pub id: u64,

@@ -5,6 +5,8 @@
 //! parallelises embarrassingly across a `crossbeam` scope with results
 //! gathered behind a `parking_lot` mutex.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use parking_lot::Mutex;
 
 use crate::config::SimConfig;
@@ -30,32 +32,11 @@ pub fn run_sweep(
     algorithm: &dyn RoutingAlgorithm,
     threads: usize,
 ) -> Vec<SweepPoint> {
-    let threads = threads.max(1);
-    let results: Mutex<Vec<Option<SweepPoint>>> = Mutex::new(vec![None; configs.len()]);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    crossbeam::scope(|s| {
-        for _ in 0..threads.min(configs.len().max(1)) {
-            s.spawn(|_| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= configs.len() {
-                    break;
-                }
-                let sim = Simulator::new(configs[i].clone(), algorithm);
-                let metrics = sim.session().run().metrics;
-                results.lock()[i] = Some(SweepPoint {
-                    config: configs[i].clone(),
-                    algorithm: algorithm.name(),
-                    metrics,
-                });
-            });
-        }
+    sweep(configs, algorithm, threads, |sim| SweepPoint {
+        config: sim.config().clone(),
+        algorithm: algorithm.name(),
+        metrics: sim.session().run().metrics,
     })
-    .expect("sweep worker panicked");
-    results
-        .into_inner()
-        .into_iter()
-        .map(|p| p.expect("every sweep point filled"))
-        .collect()
 }
 
 /// One point of a churn sweep: the configuration and its full report
@@ -77,31 +58,41 @@ pub fn run_churn_sweep(
     algorithm: &dyn RoutingAlgorithm,
     threads: usize,
 ) -> Vec<ChurnPoint> {
-    let threads = threads.max(1);
-    let results: Mutex<Vec<Option<ChurnPoint>>> = Mutex::new(vec![None; configs.len()]);
-    let next = std::sync::atomic::AtomicUsize::new(0);
+    sweep(configs, algorithm, threads, |sim| ChurnPoint {
+        config: sim.config().clone(),
+        algorithm: algorithm.name(),
+        report: sim.session().run(),
+    })
+}
+
+/// The sweep loop: `threads` workers take configs off a shared cursor and
+/// each result lands at its config's index.
+fn sweep<R: Send>(
+    configs: &[SimConfig],
+    algorithm: &dyn RoutingAlgorithm,
+    threads: usize,
+    point: impl Fn(&Simulator) -> R + Sync,
+) -> Vec<R> {
+    let results: Mutex<Vec<Option<R>>> = Mutex::new(configs.iter().map(|_| None).collect());
+    let next = AtomicUsize::new(0);
     crossbeam::scope(|s| {
-        for _ in 0..threads.min(configs.len().max(1)) {
+        for _ in 0..threads.max(1).min(configs.len().max(1)) {
             s.spawn(|_| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= configs.len() {
                     break;
                 }
                 let sim = Simulator::new(configs[i].clone(), algorithm);
-                let report = sim.session().run();
-                results.lock()[i] = Some(ChurnPoint {
-                    config: configs[i].clone(),
-                    algorithm: algorithm.name(),
-                    report,
-                });
+                let p = point(&sim);
+                results.lock()[i] = Some(p);
             });
         }
     })
-    .expect("churn sweep worker panicked");
+    .expect("sweep worker panicked");
     results
         .into_inner()
         .into_iter()
-        .map(|p| p.expect("every churn point filled"))
+        .map(|p| p.expect("every sweep point filled"))
         .collect()
 }
 

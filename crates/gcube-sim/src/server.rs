@@ -1,12 +1,13 @@
 //! Routing as a service: the `gcube serve` daemon.
 //!
 //! The daemon multiplexes many independent simulation sessions — each one
-//! a one-shard run paused between cycles — behind the newline-delimited
-//! JSON protocol of [`crate::proto`]. Parallelism comes from running
-//! *sessions* concurrently (a bounded worker budget, see below), never
-//! from sharding one session; the outputs are thread-invariant, so a
-//! session's artifacts are bitwise identical to a `gcube run` with the
-//! same config and seed.
+//! a run paused between cycles — behind the newline-delimited JSON
+//! protocol of [`crate::proto`]. A session advances through the same
+//! driver as a [`crate::session::Stepper`], on one shard: the wire config
+//! carries no thread count, and parallelism comes from running *sessions*
+//! concurrently (a bounded worker budget, see below). The outputs are
+//! thread-invariant, so a session's artifacts are bitwise identical to a
+//! `gcube run` with the same config and seed at any `--threads`.
 //!
 //! ## Concurrency model
 //!
@@ -16,7 +17,8 @@
 //! serialize on its mutex. Cycle-advancing work (`step`, `run`, `close`)
 //! additionally holds one of `workers` execution permits — when all
 //! permits are busy the daemon answers a typed `overloaded` backpressure
-//! error instead of queueing unboundedly.
+//! error instead of queueing unboundedly. A permit goes back when its
+//! holder drops it, so a request that panics mid-step returns it too.
 //!
 //! ## Admission control
 //!
@@ -55,7 +57,7 @@ use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 use crate::artifact::{ArtifactKind, ArtifactMeta, ARTIFACT_FORMAT};
@@ -109,24 +111,28 @@ impl Permits {
         }
     }
 
-    /// Try to take a permit, waiting at most `wait`. Returns whether one
-    /// was acquired (caller must `release`).
-    fn acquire(&self, wait: Duration) -> bool {
-        let guard = self.free.lock().unwrap();
+    /// Try to take a permit, waiting at most `wait`.
+    fn acquire(&self, wait: Duration) -> Option<Permit<'_>> {
+        let guard = self.free.lock().unwrap_or_else(PoisonError::into_inner);
         let (mut guard, timeout) = self
             .cv
             .wait_timeout_while(guard, wait, |free| *free == 0)
-            .unwrap();
+            .unwrap_or_else(PoisonError::into_inner);
         if timeout.timed_out() && *guard == 0 {
-            return false;
+            return None;
         }
         *guard -= 1;
-        true
+        Some(Permit(self))
     }
+}
 
-    fn release(&self) {
-        *self.free.lock().unwrap() += 1;
-        self.cv.notify_one();
+/// A held execution permit, released when dropped — unwinding included.
+struct Permit<'p>(&'p Permits);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        *self.0.free.lock().unwrap_or_else(PoisonError::into_inner) += 1;
+        self.0.cv.notify_one();
     }
 }
 
@@ -146,16 +152,15 @@ struct SessionEntry {
     admitted_past_bound: bool,
 }
 
-impl SessionEntry {
-    /// Rebuild the simulator this session's engine steps against. The
-    /// simulator borrows the strategy, so it cannot live in the entry;
-    /// reconstruction is deterministic (same config, same algorithm) and
-    /// cheap relative to a cycle batch.
-    fn sim(&self) -> Simulator<'_> {
-        Simulator::try_new(self.config.clone(), self.algo.as_ref())
-            .expect("session config was validated at open")
-    }
+/// Rebuild the simulator a session's engine steps against. The simulator
+/// borrows the strategy, so it cannot live in the entry; reconstruction is
+/// deterministic (same config, same algorithm) and cheap relative to a
+/// cycle batch.
+fn session_sim<'a>(config: &SimConfig, algo: &'a dyn RoutingAlgorithm) -> Simulator<'a> {
+    Simulator::try_new(config.clone(), algo).expect("session config was validated at open")
+}
 
+impl SessionEntry {
     /// The provenance header for this session's artifacts of `kind`.
     fn meta(&self, kind: ArtifactKind) -> ArtifactMeta {
         ArtifactMeta {
@@ -193,29 +198,17 @@ impl SessionEntry {
     /// Advance up to `cycles` cycles (`None` = to completion).
     fn advance(&mut self, cycles: Option<u64>) {
         // Borrow fields disjointly: the simulator borrows only `algo`,
-        // leaving `core` and the sinks free for the step calls.
-        let sim = Simulator::try_new(self.config.clone(), self.algo.as_ref())
-            .expect("session config was validated at open");
-        let mut left = cycles.unwrap_or(u64::MAX);
-        while left > 0 {
-            if self.core.step(
-                &sim,
-                None,
-                &mut self.sink,
-                &mut self.telem,
-                &mut NullProfiler,
-            ) {
-                break;
-            }
-            left -= 1;
-        }
+        // leaving `core` and the sinks free for the driver.
+        let sim = session_sim(&self.config, self.algo.as_ref());
+        let (sink, telem) = (&mut self.sink, &mut self.telem);
+        let cycles = cycles.unwrap_or(u64::MAX);
+        self.core
+            .step_many(&sim, cycles, sink, telem, &mut NullProfiler);
     }
 
     fn finish(&mut self) -> ChurnReport {
-        let sim = Simulator::try_new(self.config.clone(), self.algo.as_ref())
-            .expect("session config was validated at open");
-        self.core
-            .finish(&sim, None, &mut self.telem, &mut NullProfiler)
+        let sim = session_sim(&self.config, self.algo.as_ref());
+        self.core.finish(&sim, &mut self.telem, &mut NullProfiler)
     }
 }
 
@@ -452,11 +445,11 @@ impl Server {
                  pass \"force\":true to step it anyway",
             );
         }
-        if !self.permits.acquire(PERMIT_WAIT) {
+        let Some(permit) = self.permits.acquire(PERMIT_WAIT) else {
             return err_reply("overloaded", "all worker permits are busy; retry");
-        }
+        };
         entry.advance(cycles);
-        self.permits.release();
+        drop(permit);
         let op = if cycles.is_some() { "step" } else { "run" };
         let fields = format!(
             "\"cycle\":{},\"done\":{},\"in_flight\":{},\"health\":{},\"service_class\":{}",
@@ -476,7 +469,7 @@ impl Server {
             Err(r) => return r,
         };
         let entry = entry.lock().unwrap();
-        let sim = entry.sim();
+        let sim = session_sim(&entry.config, entry.algo.as_ref());
         let mark = entry.sink.events().len() as u64;
         let ck = match Checkpoint::capture(&sim, &entry.core, mark) {
             Ok(c) => c,
@@ -512,7 +505,7 @@ impl Server {
                 Ok(s) => s,
                 Err(e) => return err_reply(e.code(), &e.to_string()),
             };
-            match ck.rebuild(&sim) {
+            match ck.rebuild(&sim, 1) {
                 Ok(c) => c,
                 Err(e) => return err_reply("checkpoint_mismatch", &e),
             }
@@ -643,9 +636,10 @@ impl Server {
             // holds a permit like step/run (but is never refused: close
             // must always be possible, so it waits instead).
             if !entry.core.is_done() {
-                while !self.permits.acquire(PERMIT_WAIT) {}
+                let permit =
+                    std::iter::repeat_with(|| self.permits.acquire(PERMIT_WAIT)).find_map(|p| p);
                 entry.advance(None);
-                self.permits.release();
+                drop(permit);
             }
             let report = entry.finish();
 
@@ -802,10 +796,26 @@ mod tests {
     use crate::proto::{config_to_json, parse_json, JsonValue};
     use crate::trace::to_jsonl;
 
-    fn tmp(name: &str) -> String {
-        let dir = std::env::temp_dir().join(format!("gcube-serve-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name).to_string_lossy().into_owned()
+    /// One test's scratch directory, removed when the test ends.
+    struct Scratch(PathBuf);
+
+    impl Scratch {
+        fn new(test: &str) -> Scratch {
+            let dir = std::env::temp_dir()
+                .join(format!("gcube-serve-test-{}-{test}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            Scratch(dir)
+        }
+
+        fn path(&self, name: &str) -> String {
+            self.0.join(name).to_string_lossy().into_owned()
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
     }
 
     fn cfg() -> SimConfig {
@@ -846,13 +856,14 @@ mod tests {
     /// The daemon's artifacts must be bitwise the single-run API's.
     #[test]
     fn served_session_matches_direct_run() {
+        let dir = Scratch::new("served");
         let server = Server::new(ServerConfig::default());
         parse_ok(&server.handle_line(&open_line("s1", &cfg())));
         let run = parse_ok(&server.handle_line(r#"{"op":"run","session":"s1"}"#));
         assert_eq!(run.get("done").and_then(JsonValue::as_bool), Some(true));
 
-        let trace_path = tmp("direct-trace.jsonl");
-        let telem_path = tmp("direct-telem.jsonl");
+        let trace_path = dir.path("direct-trace.jsonl");
+        let telem_path = dir.path("direct-telem.jsonl");
         let close = parse_ok(&server.handle_line(&format!(
             r#"{{"op":"close","session":"s1","trace":"{trace_path}","telemetry":"{telem_path}"}}"#
         )));
@@ -904,6 +915,7 @@ mod tests {
     /// of them: each equals its serial single-session run.
     #[test]
     fn interleaved_sessions_are_deterministic() {
+        let dir = Scratch::new("interleaved");
         let server = Server::new(ServerConfig::default());
         let seeds = [1u64, 2, 3, 4];
         for (i, &seed) in seeds.iter().enumerate() {
@@ -926,7 +938,7 @@ mod tests {
             }
         }
         for (i, &seed) in seeds.iter().enumerate() {
-            let path = tmp(&format!("inter-{i}.jsonl"));
+            let path = dir.path(&format!("inter-{i}.jsonl"));
             parse_ok(&server.handle_line(&format!(
                 "{{\"op\":\"close\",\"session\":\"s{i}\",\"trace\":\"{path}\"}}"
             )));
@@ -947,13 +959,14 @@ mod tests {
     /// session (rewind), finish: artifacts equal the uninterrupted run.
     #[test]
     fn rewind_restore_reproduces_uninterrupted_artifacts() {
+        let dir = Scratch::new("rewind");
         let server = Server::new(ServerConfig::default());
         let c = cfg().with_seed(77);
 
         // Uninterrupted reference.
         parse_ok(&server.handle_line(&open_line("ref", &c)));
         parse_ok(&server.handle_line(r#"{"op":"run","session":"ref"}"#));
-        let ref_path = tmp("rewind-ref.jsonl");
+        let ref_path = dir.path("rewind-ref.jsonl");
         parse_ok(&server.handle_line(&format!(
             r#"{{"op":"close","session":"ref","trace":"{ref_path}"}}"#
         )));
@@ -961,7 +974,7 @@ mod tests {
         // Interrupted run: step, snapshot, step past, rewind, finish.
         parse_ok(&server.handle_line(&open_line("s", &c)));
         parse_ok(&server.handle_line(r#"{"op":"step","session":"s","cycles":60}"#));
-        let ck_path = tmp("rewind.ck");
+        let ck_path = dir.path("rewind.ck");
         let snap = parse_ok(&server.handle_line(&format!(
             r#"{{"op":"snapshot","session":"s","path":"{ck_path}"}}"#
         )));
@@ -975,7 +988,7 @@ mod tests {
             Some(true)
         );
         assert_eq!(restore.get("cycle").and_then(JsonValue::as_u64), Some(60));
-        let s_path = tmp("rewind-s.jsonl");
+        let s_path = dir.path("rewind-s.jsonl");
         parse_ok(&server.handle_line(&format!(
             r#"{{"op":"close","session":"s","trace":"{s_path}"}}"#
         )));
@@ -990,17 +1003,18 @@ mod tests {
     /// Restoring into a fresh session replays the suffix.
     #[test]
     fn restore_into_new_session_replays_suffix() {
+        let dir = Scratch::new("suffix");
         let server = Server::new(ServerConfig::default());
         let c = cfg().with_seed(99);
         parse_ok(&server.handle_line(&open_line("a", &c)));
         parse_ok(&server.handle_line(r#"{"op":"step","session":"a","cycles":50}"#));
-        let ck_path = tmp("suffix.ck");
+        let ck_path = dir.path("suffix.ck");
         let snap = parse_ok(&server.handle_line(&format!(
             r#"{{"op":"snapshot","session":"a","path":"{ck_path}"}}"#
         )));
         let mark = snap.get("trace_mark").and_then(JsonValue::as_u64).unwrap() as usize;
 
-        let a_path = tmp("suffix-a.jsonl");
+        let a_path = dir.path("suffix-a.jsonl");
         parse_ok(&server.handle_line(&format!(
             r#"{{"op":"close","session":"a","trace":"{a_path}"}}"#
         )));
@@ -1008,7 +1022,7 @@ mod tests {
             r#"{{"op":"restore","session":"b","path":"{ck_path}"}}"#
         )));
         assert_eq!(b.get("rewound").and_then(JsonValue::as_bool), Some(false));
-        let b_path = tmp("suffix-b.jsonl");
+        let b_path = dir.path("suffix-b.jsonl");
         parse_ok(&server.handle_line(&format!(
             r#"{{"op":"close","session":"b","trace":"{b_path}"}}"#
         )));
@@ -1073,15 +1087,21 @@ mod tests {
         use crate::injection::{FaultKind, FaultSchedule, FaultTarget, TimedFault};
         use gcube_topology::NodeId;
         let server = Server::new(ServerConfig::default());
-        let scripted = cfg().with_schedule(FaultSchedule::Scripted(vec![TimedFault {
-            cycle: 10,
-            target: FaultTarget::link(NodeId(0), 70),
-            kind: FaultKind::Permanent,
-        }]));
-        let bad = open_line("x", &scripted);
-        assert!(bad.contains("link:0:70"), "{bad}");
-        assert_eq!(code_of(&server.handle_line(&bad)), "invalid_fault_target");
-        parse_ok(&server.handle_line(&open_line("x", &cfg())));
+        let scripted = |v, dim| {
+            cfg().with_schedule(FaultSchedule::Scripted(vec![TimedFault {
+                cycle: 10,
+                target: FaultTarget::link(NodeId(v), dim),
+                kind: FaultKind::Permanent,
+            }]))
+        };
+        // Dimension 70 lies outside GC(6,2); node 0 has no dimension-5
+        // link (Theorem 1), while node 63 has one.
+        for (dim, spelled) in [(70, "link:0:70"), (5, "link:0:5")] {
+            let bad = open_line("x", &scripted(0, dim));
+            assert!(bad.contains(spelled), "{bad}");
+            assert_eq!(code_of(&server.handle_line(&bad)), "invalid_fault_target");
+        }
+        parse_ok(&server.handle_line(&open_line("x", &scripted(63, 5))));
     }
 
     /// With every permit held, a cycle-advancing request gives up after
@@ -1095,15 +1115,37 @@ mod tests {
         });
         parse_ok(&server.handle_line(&open_line("o", &cfg())));
         let step = r#"{"op":"step","session":"o","cycles":5}"#;
-        assert!(server.permits.acquire(PERMIT_WAIT));
+        let held = server.permits.acquire(PERMIT_WAIT).expect("a free permit");
         assert_eq!(code_of(&server.handle_line(step)), "overloaded");
-        server.permits.release();
+        drop(held);
         let r = parse_ok(&server.handle_line(step));
         assert_eq!(r.get("cycle").and_then(JsonValue::as_u64), Some(5));
     }
 
+    /// A request that panics while it holds a permit still hands it back:
+    /// otherwise `workers` such panics would leave every later `step`
+    /// answering `overloaded` and `close` waiting forever.
+    #[test]
+    fn a_panicking_holder_releases_its_permit() {
+        let permits = Permits::new(1);
+        let joined = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _held = permits.acquire(PERMIT_WAIT).expect("a free permit");
+                    panic!("the step failed");
+                })
+                .join()
+        });
+        assert!(joined.is_err(), "the holder panicked");
+        assert!(
+            permits.acquire(Duration::ZERO).is_some(),
+            "the permit must be free again"
+        );
+    }
+
     #[test]
     fn static_faults_admit_degraded_and_churn_suspends() {
+        let dir = Scratch::new("suspend");
         use crate::injection::{FaultKind, FaultSchedule, FaultTarget, TimedFault};
         use gcube_topology::NodeId;
 
@@ -1145,7 +1187,7 @@ mod tests {
         parse_ok(
             &server.handle_line(r#"{"op":"step","session":"churned","cycles":10,"force":true}"#),
         );
-        let ck = tmp("suspended.ck");
+        let ck = dir.path("suspended.ck");
         parse_ok(&server.handle_line(&format!(
             r#"{{"op":"snapshot","session":"churned","path":"{ck}"}}"#
         )));

@@ -17,9 +17,11 @@
 //! parameters, so the engine still monomorphises over the sinks: a
 //! session that never attaches one compiles to the same zero-observer
 //! loop as before. Every run executes the one cycle kernel of
-//! [`crate::shard`]; `threads(n)` picks its schedule — one shard inline,
-//! or up to `2^α` lockstepped shards — and the output is bitwise
-//! identical for any thread count.
+//! [`crate::shard`] through one driver: [`SimSession::try_run`] is a
+//! [`Stepper`] driven to the end. `threads(n)` picks the schedule for
+//! runs, steppers and restored checkpoints alike — one shard inline, or
+//! up to `2^α` lockstepped shards — and the output is bitwise identical
+//! for any thread count.
 
 use gcube_topology::GaussianCube;
 
@@ -28,7 +30,7 @@ use crate::engine::Simulator;
 use crate::error::SimError;
 use crate::metrics::ChurnReport;
 use crate::profiler::{NullProfiler, ProfilerSink};
-use crate::shard::{self, Coordinator};
+use crate::shard::Coordinator;
 use crate::telemetry::{NullTelemetry, TelemetrySink};
 use crate::trace::{NullSink, TraceSink};
 
@@ -131,39 +133,34 @@ impl<'s, 'a, S: TraceSink, T: TelemetrySink, P: ProfilerSink> SimSession<'s, 'a,
     /// the engine refuses to start; use [`SimSession::try_run`] to handle
     /// that as an error.
     pub fn run(self) -> ChurnReport {
-        match self.try_run() {
-            Ok(report) => report,
-            Err(e) => panic!("invalid simulation session: {e}"),
-        }
+        self.try_run()
+            .unwrap_or_else(|e| panic!("invalid simulation session: {e}"))
     }
 
     /// Run to completion, reporting refusals (currently only finite
     /// buffers combined with a sharded run) as a [`SimError`].
-    pub fn try_run(mut self) -> Result<ChurnReport, SimError> {
-        let threads = resolve_threads(self.threads);
-        let shards = effective_shards(self.sim.cube(), threads);
+    pub fn try_run(self) -> Result<ChurnReport, SimError> {
+        let mut stepper = self.try_stepper()?;
+        stepper.step_many(u64::MAX);
+        Ok(stepper.finish())
+    }
+
+    /// The shard count `threads(n)` gives this session, or the refusal.
+    fn shards(&self) -> Result<usize, SimError> {
+        let shards = effective_shards(self.sim.cube(), resolve_threads(self.threads));
         if shards > 1 && self.sim.config().buffer_capacity.is_some() {
             return Err(SimError::FiniteBuffersRequireSingleThread);
         }
-        Ok(shard::run(
-            self.sim,
-            shards,
-            &mut self.trace,
-            &mut self.telemetry,
-            &mut self.profiler,
-        ))
+        Ok(shards)
     }
 
-    /// Start the run paused at cycle 0 instead of running it to
-    /// completion: the returned [`Stepper`] advances one cycle per call
-    /// and can checkpoint between cycles.
-    ///
-    /// A stepper always runs the one-shard schedule — `threads(n)` is
-    /// ignored. The deterministic outputs are thread-invariant, so this
-    /// changes nothing observable; callers needing parallelism multiplex
-    /// many steppers (as `gcube serve` does) rather than sharding one.
-    pub fn stepper(mut self) -> Stepper<'s, 'a, S, T, P> {
-        let core = Coordinator::new(self.sim, 1, &mut self.trace, &mut self.telemetry);
+    fn try_stepper(mut self) -> Result<Stepper<'s, 'a, S, T, P>, SimError> {
+        let shards = self.shards()?;
+        let core = Coordinator::new(self.sim, shards, &mut self.trace, &mut self.telemetry);
+        Ok(self.resume(core))
+    }
+
+    fn resume(self, core: Coordinator) -> Stepper<'s, 'a, S, T, P> {
         Stepper {
             sim: self.sim,
             core,
@@ -173,27 +170,33 @@ impl<'s, 'a, S: TraceSink, T: TelemetrySink, P: ProfilerSink> SimSession<'s, 'a,
         }
     }
 
-    /// Resume a run from a [`Checkpoint`] instead of cycle 0. The
-    /// session's simulator must match the checkpoint's config and
-    /// strategy; the attached trace sink receives only events from the
-    /// checkpoint's cycle onward (the prefix lives wherever the original
-    /// run recorded it — see [`Checkpoint::trace_mark`]).
+    /// Start the run paused at cycle 0 instead of running it to
+    /// completion: the returned [`Stepper`] advances on request and can
+    /// checkpoint between cycles. It runs on the shards `threads(n)`
+    /// asks for, and panics on a session [`SimSession::try_run`] would
+    /// refuse.
+    pub fn stepper(self) -> Stepper<'s, 'a, S, T, P> {
+        self.try_stepper()
+            .unwrap_or_else(|e| panic!("invalid simulation session: {e}"))
+    }
+
+    /// Resume a run from a [`Checkpoint`] instead of cycle 0, on the
+    /// shards `threads(n)` asks for, whatever the thread count of the run
+    /// that wrote it. The session's simulator must match the checkpoint's
+    /// config and strategy; the attached trace sink receives only events
+    /// from the checkpoint's cycle onward (the prefix lives wherever the
+    /// original run recorded it — see [`Checkpoint::trace_mark`]).
     pub fn stepper_from(self, checkpoint: &Checkpoint) -> Result<Stepper<'s, 'a, S, T, P>, String> {
-        let core = checkpoint.rebuild(self.sim)?;
-        Ok(Stepper {
-            sim: self.sim,
-            core,
-            trace: self.trace,
-            telemetry: self.telemetry,
-            profiler: self.profiler,
-        })
+        let shards = self.shards().map_err(|e| e.to_string())?;
+        let core = checkpoint.rebuild(self.sim, shards)?;
+        Ok(self.resume(core))
     }
 }
 
-/// A paused, single-steppable run: the daemon's unit of scheduling.
-/// Created by [`SimSession::stepper`] (fresh at cycle 0, sinks already
-/// holding the cycle-0 events) or [`SimSession::stepper_from`] (resumed
-/// from a checkpoint).
+/// A paused run that advances on request, on as many shards as its
+/// session asked for. Created by [`SimSession::stepper`] (fresh at cycle
+/// 0, sinks already holding the cycle-0 events) or
+/// [`SimSession::stepper_from`] (resumed from a checkpoint).
 pub struct Stepper<'s, 'a, S = NullSink, T = NullTelemetry, P = NullProfiler> {
     sim: &'s Simulator<'a>,
     core: Coordinator,
@@ -206,24 +209,21 @@ impl<'s, 'a, S: TraceSink, T: TelemetrySink, P: ProfilerSink> Stepper<'s, 'a, S,
     /// Execute one cycle. Returns `true` once the run is complete;
     /// further calls are no-ops returning `true`.
     pub fn step(&mut self) -> bool {
-        self.core.step(
+        self.step_many(1)
+    }
+
+    /// Execute up to `cycles` cycles, stopping early when the run
+    /// completes. Returns whether the run is now complete. On more than
+    /// one shard each call starts one thread per worker shard, so large
+    /// batches amortise that cost.
+    pub fn step_many(&mut self, cycles: u64) -> bool {
+        self.core.step_many(
             self.sim,
-            None,
+            cycles,
             &mut self.trace,
             &mut self.telemetry,
             &mut self.profiler,
         )
-    }
-
-    /// Execute up to `cycles` cycles, stopping early when the run
-    /// completes. Returns whether the run is now complete.
-    pub fn step_many(&mut self, cycles: u64) -> bool {
-        for _ in 0..cycles {
-            if self.step() {
-                return true;
-            }
-        }
-        self.is_done()
     }
 
     /// The next cycle [`Stepper::step`] will execute.
@@ -259,6 +259,6 @@ impl<'s, 'a, S: TraceSink, T: TelemetrySink, P: ProfilerSink> Stepper<'s, 'a, S,
     /// [`SimSession::try_run`] for the run-to-completion shortcut).
     pub fn finish(mut self) -> ChurnReport {
         self.core
-            .finish(self.sim, None, &mut self.telemetry, &mut self.profiler)
+            .finish(self.sim, &mut self.telemetry, &mut self.profiler)
     }
 }

@@ -40,14 +40,17 @@
 //! under a `(stream, index, seq)` key and emitted in key order, so the
 //! narration does not depend on which shard produced an event.
 //!
-//! # Two schedules
+//! # One driver, two schedules
 //!
 //! The [`Coordinator`] is shard 0 plus everything network-global: the
 //! traffic RNG, the health monitor, the collective repair ledger, and the
-//! run's clock. [`Coordinator::step`] executes one cycle under either
-//! schedule.
+//! run's clock. It owns every other shard and the [`Exchange`] too, so a
+//! paused run — a [`crate::session::Stepper`], a daemon session, a run
+//! about to be checkpointed — is one value at any shard count.
+//! [`Coordinator::step_many`] is the only driver: `try_run` calls it
+//! once with no cycle limit, a stepper once per request.
 //!
-//! * **One shard** (`threads(1)`, steppers, checkpoints, the daemon). The
+//! * **One shard** (`threads(1)` and the daemon's sessions). The
 //!   coordinator owns every node. There is no [`Exchange`], no barrier
 //!   and no thread: injections are planned inline, every forwarded packet
 //!   stays an arena slot, and blocked heads are resolved inline, during
@@ -56,11 +59,13 @@
 //!   classes the shard key: a hop over a dimension `≥ α` stays inside the
 //!   sender's ending class, so each shard owns a contiguous chunk of
 //!   classes and cross-shard traffic is confined to the low `α`
-//!   dimensions. Shards `1..T` are workers on `std::thread::scope`
-//!   threads; the coordinator runs on the calling thread (it alone
-//!   touches the caller's sinks, so they need no `Send` bound). All
-//!   cross-shard traffic flows through the preallocated [`Exchange`] in
-//!   rounds separated by a [`SpinBarrier`]:
+//!   dimensions. Each `step_many(k)` call opens one `std::thread::scope`
+//!   that lends each worker its shard for up to `k` cycles of
+//!   [`Shard::worker_step`]; the coordinator steps on the calling thread
+//!   (it alone touches the caller's sinks, so they need no `Send` bound),
+//!   and the scope's join hands every shard back. All cross-shard traffic
+//!   flows through the preallocated [`Exchange`] in rounds separated by a
+//!   [`SpinBarrier`]:
 //!   - **Round A** (injection): the coordinator stages its draws by
 //!     ending class into plan units; every thread steals whole units off
 //!     an atomic cursor and plans them against its own, identical view
@@ -79,7 +84,9 @@
 //!     samples them between two barriers, while the plan caches are
 //!     quiescent.
 //!
-//! The outputs are bitwise identical for every thread count. Wall-clock
+//! The outputs are bitwise identical for every thread count, and so is
+//! where a run stops between calls: every cycle ends with every shard's
+//! packets in its queues, which is all a checkpoint records. Wall-clock
 //! phase timings are coordinator-only and never enter the deterministic
 //! exports.
 
@@ -293,8 +300,6 @@ struct TelemetryCell {
 type PacketCell = Mutex<Vec<(u32, Packet)>>;
 /// A buffered-trace cell of `(sort key, event)` pairs.
 type EventCell = Mutex<Vec<(u64, TraceEvent)>>;
-/// A shard's end-of-run payload for the final reduction.
-type Final = (Box<Metrics>, Vec<WindowStat>, Vec<OpStat>, ShardProfile);
 
 /// The shared-memory mailbox grid of the multi-shard schedule. Everything
 /// is preallocated; per-cycle traffic is mutex-swaps of `Vec`s whose
@@ -335,7 +340,6 @@ pub(crate) struct Exchange {
     view_ops: Mutex<Vec<ViewOp>>,
     verdict_drops: AtomicU64,
     telemetry: Vec<Mutex<TelemetryCell>>,
-    finals: Vec<Mutex<Option<Final>>>,
 }
 
 impl Exchange {
@@ -370,7 +374,6 @@ impl Exchange {
                     })
                 })
                 .collect(),
-            finals: (0..shards).map(|_| Mutex::new(None)).collect(),
         }
     }
 
@@ -445,7 +448,7 @@ pub(crate) struct Shard {
     pub(crate) collective: Option<CollectivePlanner>,
     /// Per-op completion records for this shard's share of each wave:
     /// identical metadata everywhere, disjoint outcomes, merged
-    /// positionally at the final reduction.
+    /// positionally by [`Coordinator::reduce`].
     pub(crate) op_tracker: OpTracker,
     tracing_on: bool,
     telemetry_on: bool,
@@ -1062,7 +1065,8 @@ impl Shard {
         self.arrivals = remote;
     }
 
-    fn insert_arrival(&mut self, pkt: Packet) {
+    /// Queue `pkt` at the back of its current node's queue.
+    pub(crate) fn insert_arrival(&mut self, pkt: Packet) {
         let cur = pkt.current().0 as usize;
         let slot = self.store.insert(pkt);
         self.enqueue(cur, slot);
@@ -1269,13 +1273,6 @@ impl Shard {
         self.push_arrivals();
     }
 
-    /// Round C, after its barrier: apply the published view mutations and
-    /// this shard's verdicts (already accounted by the coordinator).
-    fn apply_round_c(&mut self, ex: &Exchange, cycle: u64) {
-        self.apply_view_ops(&lock(&ex.view_ops));
-        self.apply_verdicts(ex, cycle);
-    }
-
     /// Apply the coordinator's rulings on this shard's blocked heads,
     /// published by service index.
     fn apply_verdicts(&mut self, ex: &Exchange, cycle: u64) {
@@ -1298,14 +1295,45 @@ impl Shard {
         self.delta.reset();
     }
 
-    /// This shard's end-of-run payload for the final reduction.
-    fn into_final(self) -> Final {
-        (
-            Box::new(self.metrics),
-            self.windows,
-            self.op_tracker.into_ops(),
-            self.profile,
-        )
+    /// One cycle of a worker shard: the kernel's phases over its own
+    /// nodes, in lockstep with [`Coordinator::step`] and with no access
+    /// to the sinks. Returns whether the run ended with this cycle, by
+    /// the coordinator's own test on the same exchanged counts.
+    fn worker_step(&mut self, sim: &Simulator, ex: &Exchange, cycle: u64) -> bool {
+        let inject_cycles = sim.config.inject_cycles;
+        let parity = (cycle & 1) as usize;
+        if self.profiling_on {
+            self.profile.cycles = cycle + 1;
+        }
+        self.begin_cycle(sim, cycle);
+        // The repair ledger and op counters are the coordinator's; a
+        // worker only injects its own share of the wave.
+        let _ = self.launch_collective(sim, cycle);
+        if cycle < inject_cycles {
+            self.barrier_wait(ex); // Round A: units filled by the coordinator.
+            self.plan_stolen_units(sim, ex);
+            self.barrier_wait(ex); // Round A: every unit planned.
+            self.account_own_units(cycle, ex);
+        }
+        self.scan(sim, cycle, false);
+        self.drain_moves(cycle);
+        self.publish(ex, parity);
+        self.barrier_wait(ex); // Round B: all mailboxes published.
+        let total_contrib = Exchange::total(&ex.contrib[parity]);
+        self.receive(ex, parity);
+        let mut verdict_drops = 0;
+        if self.dynamic && !self.truth.is_empty() {
+            self.barrier_wait(ex); // Round C: verdicts published.
+            verdict_drops = ex.verdict_drops.load(Ordering::Relaxed);
+            self.apply_view_ops(&lock(&ex.view_ops));
+            self.apply_verdicts(ex, cycle);
+        }
+        if self.telemetry_on || self.profiling_on {
+            self.publish_telemetry(ex);
+            self.barrier_wait(ex); // Round D: all cells published.
+            self.barrier_wait(ex); // Round D: coordinator folded and sampled.
+        }
+        cycle >= inject_cycles && total_contrib - verdict_drops == 0
     }
 }
 
@@ -1325,15 +1353,19 @@ fn lap<T: TelemetrySink, P: ProfilerSink>(
 
 /// Shard 0 plus everything network-global: the traffic RNG and packet
 /// ids, the health monitor, the collective repair ledger, and the run's
-/// clock. Under the one-shard schedule this is the whole run, which is
-/// why steppers, checkpoints, and the daemon hold one between cycles.
+/// clock. It also owns the other shards between calls, so it is the whole
+/// paused run that steppers, checkpoints and the daemon hold.
 pub(crate) struct Coordinator {
     pub(crate) shard: Shard,
+    /// Shards `1..T` and their mailbox grid (`None` for one shard), lent
+    /// to worker threads for the length of one [`Coordinator::step_many`].
+    workers: Vec<Shard>,
+    ex: Option<Exchange>,
     pub(crate) traffic: TrafficGen,
     pub(crate) next_id: u64,
     pub(crate) monitor: FaultBudgetMonitor,
     pub(crate) repair_ledger: RepairLedger,
-    /// The next cycle [`Coordinator::step`] will execute.
+    /// The next cycle to execute.
     pub(crate) cycle: u64,
     pub(crate) ended_at: u64,
     pub(crate) done: bool,
@@ -1364,9 +1396,13 @@ impl Coordinator {
     ) -> Coordinator {
         let cfg = &sim.config;
         let collective_cache = cfg.collective.map(|_| Arc::new(PlanCache::new(&sim.gc)));
-        let mut shard = Shard::new(sim, 0, shards, collective_cache);
+        let mut shard = Shard::new(sim, 0, shards, collective_cache.clone());
         shard.metrics.nodes = sim.gc.num_nodes();
         let classes = shard.cmask + 1;
+        let ex = (shards > 1).then(|| Exchange::new(shards, classes, sim.gc.n() as usize));
+        let workers = (1..shards)
+            .map(|me| Shard::new(sim, me, shards, collective_cache.clone()))
+            .collect();
         // The Theorem-3 fault-budget monitor runs whether or not
         // telemetry is attached: health transitions are trace events and
         // metric counters, so replay verification covers them.
@@ -1388,6 +1424,8 @@ impl Coordinator {
         }
         Coordinator {
             shard,
+            workers,
+            ex,
             traffic: TrafficGen::with_pattern(cfg.seed, cfg.injection_rate, cfg.pattern),
             next_id: 0,
             monitor,
@@ -1409,12 +1447,89 @@ impl Coordinator {
         self.done
     }
 
+    /// Every shard, coordinator first, in shard order.
+    pub(crate) fn shards(&self) -> impl Iterator<Item = &Shard> {
+        std::iter::once(&self.shard).chain(&self.workers)
+    }
+
+    /// Every shard, mutably, coordinator first.
+    pub(crate) fn shards_mut(&mut self) -> impl Iterator<Item = &mut Shard> {
+        std::iter::once(&mut self.shard).chain(&mut self.workers)
+    }
+
+    /// The index of the shard owning node `v`.
+    pub(crate) fn owner_of(&self, v: NodeId) -> usize {
+        self.shard.class_owner[v.0 as usize & self.shard.cmask]
+    }
+
+    /// The run's additive records summed over every shard: metrics,
+    /// windows and collective-op outcomes. [`Coordinator::finish`]
+    /// reports them and a checkpoint records them, so neither depends on
+    /// how the run was sharded.
+    pub(crate) fn reduce(&self) -> (Metrics, Vec<WindowStat>, Vec<OpStat>) {
+        let mut metrics = self.shard.metrics;
+        let mut windows = self.shard.windows.clone();
+        let mut ops = self.shard.op_tracker.ops().to_vec();
+        for w in self.shards().skip(1) {
+            metrics.absorb(&w.metrics);
+            merge_windows(&mut windows, &w.windows);
+            merge_ops(&mut ops, w.op_tracker.ops());
+        }
+        (metrics, windows, ops)
+    }
+
+    /// Execute up to `cycles` cycles, stopping early when the run
+    /// completes; returns whether it has. The one-shard schedule steps
+    /// inline. With more shards, one `std::thread::scope` lends each
+    /// worker its shard for the whole call, so a run driven to the end in
+    /// one call starts one thread per worker.
+    pub(crate) fn step_many<S: TraceSink, T: TelemetrySink, P: ProfilerSink>(
+        &mut self,
+        sim: &Simulator,
+        cycles: u64,
+        sink: &mut S,
+        telem: &mut T,
+        prof: &mut P,
+    ) -> bool {
+        let total_cycles = sim.config.inject_cycles + sim.config.drain_cycles;
+        self.done |= self.cycle >= total_cycles;
+        if self.done || cycles == 0 {
+            return self.done;
+        }
+        let Some(ex) = self.ex.take() else {
+            assert_eq!(self.shards, 1, "a sharded run does not survive a panic");
+            // `any` stops at the cycle that ends the run.
+            return (0..cycles).any(|_| self.step(sim, None, sink, telem, prof));
+        };
+        let mut workers = mem::take(&mut self.workers);
+        let (start, count) = (self.cycle, cycles.min(total_cycles - self.cycle));
+        let (tracing, telemetry, profiling) = (sink.enabled(), telem.enabled(), prof.enabled());
+        std::thread::scope(|scope| {
+            for w in &mut workers {
+                w.observe(tracing, telemetry, profiling);
+                let ex = &ex;
+                scope.spawn(move || {
+                    let _poison = PoisonOnUnwind(&ex.barrier);
+                    let started = Instant::now();
+                    (start..start + count).any(|cycle| w.worker_step(sim, ex, cycle));
+                    w.profile.run_nanos += started.elapsed().as_nanos() as u64;
+                });
+            }
+            let _poison = PoisonOnUnwind(&ex.barrier);
+            let started = Instant::now();
+            (0..count).any(|_| self.step(sim, Some(&ex), sink, telem, prof));
+            self.shard.profile.run_nanos += started.elapsed().as_nanos() as u64;
+        });
+        (self.ex, self.workers) = (Some(ex), workers);
+        self.done
+    }
+
     /// Execute one cycle: inline under the one-shard schedule (`ex` is
     /// `None`), or lockstepped with the workers through `ex`. Returns
     /// `true` once the run is complete (all cycles executed, or injection
     /// over and the network drained); calling again after that is a
     /// no-op returning `true`.
-    pub(crate) fn step<S: TraceSink, T: TelemetrySink, P: ProfilerSink>(
+    fn step<S: TraceSink, T: TelemetrySink, P: ProfilerSink>(
         &mut self,
         sim: &Simulator,
         ex: Option<&Exchange>,
@@ -1739,13 +1854,11 @@ impl Coordinator {
     }
 
     /// Close out the run and build its report: call once, after
-    /// [`Coordinator::step`] returned `true`. Under the multi-shard
-    /// schedule the workers' metrics, windows and collective records are
-    /// reduced into the coordinator's — all additive counters.
+    /// [`Coordinator::step_many`] returned `true`. The report's counters
+    /// are [`Coordinator::reduce`]'s sums over every shard.
     pub(crate) fn finish<T: TelemetrySink, P: ProfilerSink>(
         &mut self,
         sim: &Simulator,
-        ex: Option<&Exchange>,
         telem: &mut T,
         prof: &mut P,
     ) -> ChurnReport {
@@ -1761,27 +1874,13 @@ impl Coordinator {
                 cache: sim.algorithm.cache_stats(),
             });
         }
-        let mut metrics = self.shard.metrics;
-        let mut windows = mem::take(&mut self.shard.windows);
-        let mut collectives = mem::take(&mut self.shard.op_tracker).into_ops();
-        if let Some(ex) = ex {
-            self.shard.barrier_wait(ex); // Final reduction: all shards published.
-            if prof.enabled() {
-                prof.shard_profile(0, &self.shard.profile);
-            }
-            for (s, cell) in ex.finals.iter().enumerate().skip(1) {
-                let (m, w, ops, profile) = lock(cell)
-                    .take()
-                    .expect("worker published its final payload");
-                if prof.enabled() {
-                    prof.shard_profile(s, &profile);
-                }
-                metrics.absorb(&m);
-                merge_windows(&mut windows, &w);
-                merge_ops(&mut collectives, &ops);
-            }
-        }
+        let (mut metrics, mut windows, collectives) = self.reduce();
         if prof.enabled() {
+            if self.shards > 1 {
+                for (s, shard) in self.shards().enumerate() {
+                    prof.shard_profile(s, &shard.profile);
+                }
+            }
             prof.finish_run(self.ended_at, self.shards);
         }
         metrics.cycles = self.ended_at - self.shard.warmup;
@@ -1799,97 +1898,6 @@ impl Coordinator {
             collectives,
         }
     }
-}
-
-/// Run to completion on `shards` shards: the one-shard schedule inline,
-/// more shards lockstepped on scoped threads. The output is bitwise
-/// identical for every shard count.
-pub(crate) fn run<S: TraceSink, T: TelemetrySink, P: ProfilerSink>(
-    sim: &Simulator<'_>,
-    shards: usize,
-    sink: &mut S,
-    telem: &mut T,
-    prof: &mut P,
-) -> ChurnReport {
-    let mut coord = Coordinator::new(sim, shards, sink, telem);
-    if shards == 1 {
-        while !coord.step(sim, None, sink, telem, prof) {}
-        return coord.finish(sim, None, telem, prof);
-    }
-    let ex = Exchange::new(shards, coord.shard.cmask + 1, sim.gc.n() as usize);
-    let observers = (sink.enabled(), telem.enabled(), prof.enabled());
-    let cache = coord
-        .shard
-        .collective
-        .as_ref()
-        .map(|cp| Arc::clone(cp.cache()));
-    std::thread::scope(|scope| {
-        for me in 1..shards {
-            let (ex, cache) = (&ex, cache.clone());
-            scope.spawn(move || run_worker(sim, me, shards, ex, observers, cache));
-        }
-        let _poison = PoisonOnUnwind(&ex.barrier);
-        let started = Instant::now();
-        while !coord.step(sim, Some(&ex), sink, telem, prof) {}
-        coord.shard.profile.run_nanos = started.elapsed().as_nanos() as u64;
-        coord.finish(sim, Some(&ex), telem, prof)
-    })
-}
-
-/// A worker shard's whole run: the kernel's phases over its own nodes in
-/// lockstep with the coordinator, with no access to the sinks.
-fn run_worker(
-    sim: &Simulator<'_>,
-    me: usize,
-    shards: usize,
-    ex: &Exchange,
-    (tracing_on, telemetry_on, profiling_on): (bool, bool, bool),
-    collective_cache: Option<Arc<PlanCache>>,
-) {
-    let _poison = PoisonOnUnwind(&ex.barrier);
-    let mut shard = Shard::new(sim, me, shards, collective_cache);
-    shard.observe(tracing_on, telemetry_on, profiling_on);
-    let inject_cycles = sim.config.inject_cycles;
-    let started = Instant::now();
-    for cycle in 0..inject_cycles + sim.config.drain_cycles {
-        let parity = (cycle & 1) as usize;
-        if profiling_on {
-            shard.profile.cycles = cycle + 1;
-        }
-        shard.begin_cycle(sim, cycle);
-        // The repair ledger and op counters are the coordinator's; a
-        // worker only injects its own share of the wave.
-        let _ = shard.launch_collective(sim, cycle);
-        if cycle < inject_cycles {
-            shard.barrier_wait(ex); // Round A: units filled by the coordinator.
-            shard.plan_stolen_units(sim, ex);
-            shard.barrier_wait(ex); // Round A: every unit planned.
-            shard.account_own_units(cycle, ex);
-        }
-        shard.scan(sim, cycle, false);
-        shard.drain_moves(cycle);
-        shard.publish(ex, parity);
-        shard.barrier_wait(ex); // Round B: all mailboxes published.
-        let total_contrib = Exchange::total(&ex.contrib[parity]);
-        shard.receive(ex, parity);
-        let mut verdict_drops = 0;
-        if shard.dynamic && !shard.truth.is_empty() {
-            shard.barrier_wait(ex); // Round C: verdicts published.
-            verdict_drops = ex.verdict_drops.load(Ordering::Relaxed);
-            shard.apply_round_c(ex, cycle);
-        }
-        if telemetry_on || profiling_on {
-            shard.publish_telemetry(ex);
-            shard.barrier_wait(ex); // Round D: all cells published.
-            shard.barrier_wait(ex); // Round D: coordinator folded and sampled.
-        }
-        if cycle >= inject_cycles && total_contrib - verdict_drops == 0 {
-            break;
-        }
-    }
-    shard.profile.run_nanos = started.elapsed().as_nanos() as u64;
-    *lock(&ex.finals[me]) = Some(shard.into_final());
-    ex.barrier.wait(); // Final reduction: all shards published.
 }
 
 #[cfg(test)]

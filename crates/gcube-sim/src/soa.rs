@@ -48,15 +48,10 @@ pub(crate) struct PacketStore {
     pub reroutes: Vec<u32>,
     /// `None` marks a free slot; `Option<Route>` is pointer-niche packed,
     /// so the column costs nothing over `Route` itself.
-    ///
-    /// `pub(crate)` (like `free`) for the checkpoint codec only: a
-    /// restored arena must reproduce the slot layout and freelist order
-    /// exactly, or packet ids would land in different slots and the
-    /// forwarding order would drift.
-    pub(crate) routes: Vec<Option<Route>>,
+    routes: Vec<Option<Route>>,
     /// Intrusive FIFO link: the slot queued behind this one, or [`NIL`].
     pub next: Vec<u32>,
-    pub(crate) free: Vec<u32>,
+    free: Vec<u32>,
 }
 
 impl PacketStore {

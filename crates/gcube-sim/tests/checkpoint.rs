@@ -3,8 +3,9 @@
 //! rebuild on a fresh simulator with a fresh strategy instance, finish —
 //! and the final `ChurnReport` plus the composed trace stream (prefix
 //! recorded before the pause + suffix recorded after the restore) must be
-//! bitwise identical to the uninterrupted run, whether that baseline ran
-//! sequentially or on the 4-thread shard engine.
+//! bitwise identical to the uninterrupted run, whichever of 1, 2 and 4
+//! threads captured and restored it. The checkpoint text itself must not
+//! depend on the capturing thread count.
 //!
 //! This is the engine-level guarantee `gcube serve` builds its
 //! `snapshot`/`restore` requests on (DESIGN.md §16); the server's unit
@@ -45,36 +46,53 @@ fn run_uninterrupted(
     (report, sink.events().to_vec())
 }
 
-/// Step to `pause`, checkpoint, round-trip the checkpoint through its
-/// text serialization, resume on a completely fresh simulator, run to
-/// completion. Returns the report and the prefix+suffix trace stream.
-fn run_interrupted(cfg: &SimConfig, multitree: bool, pause: u64) -> (ChurnReport, Vec<TraceEvent>) {
+/// Step to `pause` on `threads` threads and checkpoint there. Returns
+/// the trace prefix recorded so far and the checkpoint text.
+fn capture(
+    cfg: &SimConfig,
+    multitree: bool,
+    pause: u64,
+    threads: usize,
+) -> (Vec<TraceEvent>, String) {
     let algo = build_algo(multitree);
     let sim = Simulator::new(cfg.clone(), &*algo);
     let mut sink = MemorySink::new();
-    let ck_text = {
-        let mut stepper = sim.session().trace(&mut sink).stepper();
+    let text = {
+        let mut stepper = sim.session().threads(threads).trace(&mut sink).stepper();
         stepper.step_many(pause);
         // The mark is bookkeeping for the daemon's rewind path (how much
         // trace prefix the holder retains); this test tracks the prefix
         // directly, so any value round-trips fine.
         stepper.checkpoint(0).expect("checkpoint mid-run").to_text()
     };
-    let mut events = sink.events().to_vec();
+    (sink.events().to_vec(), text)
+}
 
-    let ck = Checkpoint::from_text(&ck_text).expect("checkpoint text must round-trip");
+/// Parse checkpoint `text`, resume it on `threads` threads on a
+/// completely fresh simulator and run to completion. Returns the report
+/// and the `prefix` + suffix trace stream.
+fn resume(
+    cfg: &SimConfig,
+    multitree: bool,
+    text: &str,
+    threads: usize,
+    prefix: &[TraceEvent],
+) -> (ChurnReport, Vec<TraceEvent>) {
+    let ck = Checkpoint::from_text(text).expect("checkpoint text must round-trip");
     let algo2 = build_algo(multitree);
     let sim2 = Simulator::new(cfg.clone(), &*algo2);
     let mut suffix = MemorySink::new();
     let report = {
         let mut stepper = sim2
             .session()
+            .threads(threads)
             .trace(&mut suffix)
             .stepper_from(&ck)
             .expect("restore onto a matching simulator");
-        while !stepper.step() {}
+        stepper.step_many(u64::MAX);
         stepper.finish()
     };
+    let mut events = prefix.to_vec();
     events.extend_from_slice(suffix.events());
     (report, events)
 }
@@ -135,27 +153,42 @@ fn check_round_trip(cfg: &SimConfig, multitree: bool, pause: u64) -> Result<(), 
         !seq_events.is_empty(),
         "vacuous case: the baseline run recorded no trace events"
     );
-    let (resumed_report, resumed_events) = run_interrupted(cfg, multitree, pause);
-    prop_assert_eq!(
-        &seq_report,
-        &resumed_report,
-        "restored run's ChurnReport diverged from the uninterrupted run (pause={})",
-        pause
-    );
-    prop_assert_eq!(
-        &seq_events,
-        &resumed_events,
-        "restored run's trace stream diverged (pause={})",
-        pause
-    );
+    let (_, text_t1) = capture(cfg, multitree, pause, 1);
+    for t1 in [1, 2, 4] {
+        let (prefix, text) = capture(cfg, multitree, pause, t1);
+        prop_assert_eq!(
+            &text,
+            &text_t1,
+            "checkpoint text at {} threads differs from 1 thread (pause={})",
+            t1,
+            pause
+        );
+        for t2 in [1, 2, 4] {
+            let (resumed_report, resumed_events) = resume(cfg, multitree, &text, t2, &prefix);
+            prop_assert_eq!(
+                &seq_report,
+                &resumed_report,
+                "ChurnReport diverged: captured at {} threads, restored at {} (pause={})",
+                t1,
+                t2,
+                pause
+            );
+            prop_assert_eq!(
+                &seq_events,
+                &resumed_events,
+                "trace stream diverged: captured at {} threads, restored at {} (pause={})",
+                t1,
+                t2,
+                pause
+            );
+        }
+    }
 
-    // The stepper always drives the sequential reference engine, but its
-    // outputs are thread-invariant by the shard-equivalence guarantee —
-    // so the resumed run must also match the 4-thread baseline bit for
-    // bit.
+    // The outputs are thread-invariant by the shard-equivalence
+    // guarantee, so the uninterrupted 4-thread run must agree too.
     let (par_report, par_events) = run_uninterrupted(cfg, multitree, 4);
-    prop_assert_eq!(&par_report, &resumed_report, "4-thread baseline diverged");
-    prop_assert_eq!(&par_events, &resumed_events, "4-thread trace diverged");
+    prop_assert_eq!(&par_report, &seq_report, "4-thread baseline diverged");
+    prop_assert_eq!(&par_events, &seq_events, "4-thread trace diverged");
     Ok(())
 }
 
@@ -163,7 +196,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Checkpoint at a random cycle, restore, finish: report and trace
-    /// bitwise equal to the uninterrupted run — sequential and 4-thread.
+    /// bitwise equal to the uninterrupted run for every capturing and
+    /// restoring thread count in {1, 2, 4}, and one checkpoint text.
     #[test]
     fn checkpoint_round_trip_is_bitwise(
         (cfg, multitree, pause) in (arb_config(), any::<bool>(), 1u64..140)

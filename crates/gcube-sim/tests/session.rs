@@ -1,6 +1,8 @@
 //! The `SimSession` front door: builder composition, thread resolution,
 //! and — the headline guarantee — bitwise sequential/sharded equivalence
-//! for arbitrary configurations and strategies (multitree included).
+//! for arbitrary configurations and strategies (multitree included),
+//! whether a run goes to the end in one call or a stepper advances it in
+//! chunks.
 
 use proptest::prelude::*;
 
@@ -122,6 +124,22 @@ fn finite_buffers_refuse_sharded_runs() {
     }
     // Single-threaded finite buffers still run.
     assert!(sim.session().threads(1).try_run().is_ok());
+    // Steppers and restores are refused the same way: a stepper panics
+    // like `run`, a restore returns the error.
+    let refusal = SimError::FiniteBuffersRequireSingleThread.to_string();
+    let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        sim.session().threads(4).stepper();
+    }))
+    .expect_err("a sharded stepper with finite buffers must be refused");
+    let message = panicked
+        .downcast_ref::<String>()
+        .expect("a formatted panic");
+    assert_eq!(*message, format!("invalid simulation session: {refusal}"));
+    let ck = sim.session().stepper().checkpoint(0).unwrap();
+    match sim.session().threads(4).stepper_from(&ck) {
+        Err(e) => assert_eq!(e, refusal),
+        Ok(_) => panic!("a sharded restore with finite buffers must be refused"),
+    }
 }
 
 /// A completed million-node run: `GC(20, 4)` end to end at a trickle
@@ -241,15 +259,18 @@ proptest! {
     /// The acceptance property: for any shape, seed, and churn schedule,
     /// every thread count produces the identical `ChurnReport`, the
     /// identical trace stream, the identical telemetry exports, and a
-    /// balanced conservation ledger.
+    /// balanced conservation ledger — run to the end in one call, or
+    /// stepped in chunks of random length (seeded by `chunks`).
     #[test]
-    fn sharded_runs_are_bitwise_sequential((cfg, multitree) in (arb_config(), any::<bool>())) {
+    fn sharded_runs_are_bitwise_sequential(
+        (cfg, multitree, chunks) in (arb_config(), any::<bool>(), any::<u64>())
+    ) {
         let uses_ftgcr = cfg.faulty_nodes > 0 || !cfg.schedule.is_none();
         // One fresh algorithm instance per run: plan-cache hit/miss
         // counters are cumulative for the cache's lifetime, so a shared
         // warm cache would (correctly) report different telemetry for the
         // second run regardless of the engine used.
-        let run_with = |threads: usize| {
+        let run_with = |threads: usize, stepped: bool| {
             let alg_mt = gcube_sim::MultiTreeStrategy::new(2);
             let alg_ft = gcube_sim::CachedFtgcr::new();
             let alg_ff = gcube_sim::CachedFfgcr::new();
@@ -264,16 +285,31 @@ proptest! {
             let mut sink = MemorySink::new();
             let mut tel =
                 TelemetryCollector::new(sim.cube(), sim.config().telemetry_interval);
-            let report = sim
+            let session = sim
                 .session()
                 .threads(threads)
                 .trace(&mut sink)
-                .telemetry(&mut tel)
-                .run();
+                .telemetry(&mut tel);
+            let report = if stepped {
+                let mut stepper = session.stepper();
+                let mut x = chunks | 1;
+                loop {
+                    // xorshift64: chunks of 1 to 64 cycles.
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    if stepper.step_many(1 + x % 64) {
+                        break;
+                    }
+                }
+                stepper.finish()
+            } else {
+                session.run()
+            };
             (report, sink, tel)
         };
 
-        let (seq, seq_sink, seq_tel) = run_with(1);
+        let (seq, seq_sink, seq_tel) = run_with(1, false);
 
         let m = &seq.metrics;
         prop_assert_eq!(
@@ -282,26 +318,35 @@ proptest! {
             "sequential ledger must balance"
         );
 
-        for threads in [2usize, 4, 7] {
-            let (par, par_sink, par_tel) = run_with(threads);
-            prop_assert_eq!(&seq, &par, "ChurnReport diverged at threads={}", threads);
+        for (threads, stepped) in [(2usize, false), (4, false), (7, false), (2, true), (4, true)] {
+            let (par, par_sink, par_tel) = run_with(threads, stepped);
+            prop_assert_eq!(
+                &seq,
+                &par,
+                "ChurnReport diverged at threads={} (stepped: {})",
+                threads,
+                stepped
+            );
             prop_assert_eq!(
                 seq_sink.events(),
                 par_sink.events(),
-                "trace stream diverged at threads={}",
-                threads
+                "trace stream diverged at threads={} (stepped: {})",
+                threads,
+                stepped
             );
             prop_assert_eq!(
                 seq_tel.to_csv(),
                 par_tel.to_csv(),
-                "telemetry CSV diverged at threads={}",
-                threads
+                "telemetry CSV diverged at threads={} (stepped: {})",
+                threads,
+                stepped
             );
             prop_assert_eq!(
                 seq_tel.to_jsonl(),
                 par_tel.to_jsonl(),
-                "telemetry JSONL diverged at threads={}",
-                threads
+                "telemetry JSONL diverged at threads={} (stepped: {})",
+                threads,
+                stepped
             );
         }
     }
