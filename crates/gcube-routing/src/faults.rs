@@ -20,10 +20,18 @@ use std::fmt;
 use gcube_topology::classes::{dim_count, dims, n_bound_paper, subcube_pos};
 use gcube_topology::{GaussianCube, GaussianTree, LinkId, LinkMask, NodeId, Topology};
 
-/// A set of faulty nodes and faulty links.
+/// A set of faulty nodes and faulty links: the one store of fault state,
+/// probed alike by routing, forwarding and injection.
 ///
 /// Per the simulator's assumption (3), a faulty node makes all of its
 /// incident links faulty; [`FaultSet::is_link_usable`] accounts for that.
+///
+/// Faults are kept in two ordered sets, so iteration is ascending and
+/// O(faults), and every probe is an O(1) bit test on a dead-node bitset
+/// and per-dimension dead-link bitsets keyed by each link's bit-clear
+/// endpoint. A bitset grows, through a zeroed allocation, to the highest
+/// faulty id rounded up to a power-of-two word count, so it never exceeds
+/// a `2^n`-node cube's `2^n` bits; an empty set owns no heap memory.
 ///
 /// The set carries a [`generation`](FaultSet::generation) change stamp so
 /// observers (the simulator's routing view) can detect "nothing changed
@@ -31,8 +39,12 @@ use gcube_topology::{GaussianCube, GaussianTree, LinkId, LinkMask, NodeId, Topol
 /// the stamp: two sets are equal iff their faults are.
 #[derive(Clone, Debug, Default)]
 pub struct FaultSet {
-    nodes: HashSet<NodeId>,
-    links: HashSet<LinkId>,
+    nodes: BTreeSet<NodeId>,
+    links: BTreeSet<LinkId>,
+    /// Bit `v` is set iff node `v` is in `nodes`.
+    dead_nodes: Vec<u64>,
+    /// `dead_links[dim]`: bit `lo` is set iff link `(lo, dim)` is in `links`.
+    dead_links: Vec<Vec<u64>>,
     generation: u64,
 }
 
@@ -43,6 +55,40 @@ impl PartialEq for FaultSet {
 }
 
 impl Eq for FaultSet {}
+
+/// Whether bit `v` is set; bits past the end read as clear.
+#[inline]
+fn bit(bits: &[u64], v: u64) -> bool {
+    let word = usize::try_from(v / 64).ok().and_then(|w| bits.get(w));
+    word.is_some_and(|w| w >> (v % 64) & 1 != 0)
+}
+
+/// Set bit `v`, first growing `bits` to a power-of-two word count through
+/// a zeroed allocation, which touches only the pages written.
+fn set_bit(bits: &mut Vec<u64>, v: u64) {
+    let w = usize::try_from(v / 64).expect("a faulty id fits the address space");
+    if w >= bits.len() {
+        let mut grown = vec![0; (w + 1).next_power_of_two()];
+        grown[..bits.len()].copy_from_slice(bits);
+        *bits = grown;
+    }
+    bits[w] |= 1 << (v % 64);
+}
+
+/// Clear bit `v`, which [`set_bit`] set.
+fn clear_bit(bits: &mut [u64], v: u64) {
+    bits[(v / 64) as usize] &= !(1 << (v % 64));
+}
+
+/// Make `dst` hold `src`'s bits, in `dst`'s allocation if it is long enough.
+fn copy_bits(dst: &mut Vec<u64>, src: &[u64]) {
+    if dst.len() < src.len() {
+        *dst = src.to_vec();
+    } else {
+        dst[..src.len()].copy_from_slice(src);
+        dst[src.len()..].fill(0);
+    }
+}
 
 impl FaultSet {
     /// An empty (fault-free) set.
@@ -61,16 +107,17 @@ impl FaultSet {
         links: impl IntoIterator<Item = LinkId>,
         generation: u64,
     ) -> FaultSet {
-        FaultSet {
-            nodes: nodes.into_iter().collect(),
-            links: links.into_iter().collect(),
-            generation,
-        }
+        let mut set = FaultSet::new();
+        nodes.into_iter().for_each(|n| set.add_node(n));
+        links.into_iter().for_each(|l| set.add_link(l));
+        set.generation = generation;
+        set
     }
 
     /// Mark a node faulty.
     pub fn add_node(&mut self, n: NodeId) {
         if self.nodes.insert(n) {
+            set_bit(&mut self.dead_nodes, n.0);
             self.generation += 1;
         }
     }
@@ -78,6 +125,10 @@ impl FaultSet {
     /// Mark a link faulty.
     pub fn add_link(&mut self, l: LinkId) {
         if self.links.insert(l) {
+            let dim = l.dim as usize;
+            self.dead_links
+                .resize_with(self.dead_links.len().max(dim + 1), Vec::new);
+            set_bit(&mut self.dead_links[dim], l.lo.0);
             self.generation += 1;
         }
     }
@@ -89,7 +140,9 @@ impl FaultSet {
     pub fn remove_node(&mut self, n: NodeId) -> bool {
         let removed = self.nodes.remove(&n);
         if removed {
+            clear_bit(&mut self.dead_nodes, n.0);
             self.generation += 1;
+            self.release_if_empty();
         }
         removed
     }
@@ -99,9 +152,18 @@ impl FaultSet {
     pub fn remove_link(&mut self, l: LinkId) -> bool {
         let removed = self.links.remove(&l);
         if removed {
+            clear_bit(&mut self.dead_links[l.dim as usize], l.lo.0);
             self.generation += 1;
+            self.release_if_empty();
         }
         removed
+    }
+
+    /// Drop the storage of an emptied set, keeping its stamp.
+    fn release_if_empty(&mut self) {
+        if self.is_empty() {
+            *self = FaultSet::from_parts([], [], self.generation);
+        }
     }
 
     /// The change stamp: bumped on every *effective* mutation (inserting a
@@ -114,45 +176,61 @@ impl FaultSet {
     }
 
     /// Make `self` an exact copy of `other` — contents and generation —
-    /// reusing `self`'s hash-table allocations instead of cloning.
+    /// copying the bit indexes into `self`'s allocations instead of
+    /// cloning them.
     ///
     /// After the call `self.generation() == other.generation()`; a consumer
     /// that records the pair of stamps at sync time can skip future syncs
     /// while both stamps are unchanged.
     pub fn sync_from(&mut self, other: &FaultSet) {
-        self.nodes.clear();
-        self.nodes.extend(other.nodes.iter().copied());
-        self.links.clear();
-        self.links.extend(other.links.iter().copied());
+        self.nodes.clone_from(&other.nodes);
+        self.links.clone_from(&other.links);
+        copy_bits(&mut self.dead_nodes, &other.dead_nodes);
+        let dims = self.dead_links.len().max(other.dead_links.len());
+        self.dead_links.resize_with(dims, Vec::new);
+        for (dim, bits) in self.dead_links.iter_mut().enumerate() {
+            copy_bits(bits, other.dead_links.get(dim).map_or(&[], Vec::as_slice));
+        }
         self.generation = other.generation;
+        self.release_if_empty();
     }
 
     /// Whether the node itself is faulty.
     #[inline]
     pub fn is_node_faulty(&self, n: NodeId) -> bool {
-        self.nodes.contains(&n)
+        bit(&self.dead_nodes, n.0)
     }
 
     /// Whether the link itself was marked faulty (endpoint faults *not*
     /// considered; see [`FaultSet::is_link_usable`]).
     #[inline]
     pub fn is_link_faulty(&self, l: LinkId) -> bool {
-        self.links.contains(&l)
+        self.dead_links
+            .get(l.dim as usize)
+            .is_some_and(|bits| bit(bits, l.lo.0))
     }
 
     /// Whether a packet may traverse this link: the link is healthy and so
     /// are both endpoints.
+    #[inline]
     pub fn is_link_usable(&self, l: LinkId) -> bool {
         let (a, b) = l.endpoints();
-        !self.links.contains(&l) && !self.nodes.contains(&a) && !self.nodes.contains(&b)
+        !self.is_link_faulty(l) && !self.is_node_faulty(a) && !self.is_node_faulty(b)
     }
 
-    /// Faulty nodes, in arbitrary order.
+    /// The dead-node bitset (bit `v % 64` of word `v / 64`), only as long as
+    /// the highest faulty node needs: a word past its end is all live.
+    pub fn dead_node_words(&self) -> &[u64] {
+        &self.dead_nodes
+    }
+
+    /// Faulty nodes, in ascending order.
     pub fn faulty_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.nodes.iter().copied()
     }
 
-    /// Explicitly faulty links (not counting links killed by node faults).
+    /// Explicitly faulty links (not counting links killed by node faults),
+    /// in ascending `(lo, dim)` order.
     pub fn faulty_links(&self) -> impl Iterator<Item = LinkId> + '_ {
         self.links.iter().copied()
     }
@@ -171,11 +249,11 @@ impl FaultSet {
 impl LinkMask for FaultSet {
     #[inline]
     fn node_ok(&self, node: NodeId) -> bool {
-        !self.nodes.contains(&node)
+        !self.is_node_faulty(node)
     }
     #[inline]
     fn link_ok(&self, link: LinkId) -> bool {
-        !self.links.contains(&link)
+        !self.is_link_faulty(link)
     }
 }
 
@@ -478,8 +556,8 @@ impl FaultBudget {
 /// Take the live budget snapshot: classify every fault, charge each to its
 /// subcube, and compare against `N(α,k)` and `T(GC)`.
 pub fn fault_budget(gc: &GaussianCube, faults: &FaultSet) -> FaultBudget {
-    // BTreeSet: the per-subcube listing must not depend on HashSet
-    // iteration order (the snapshot is part of the deterministic report).
+    // BTreeSet: the per-subcube listing is sorted by (k, t), not by fault
+    // id (the snapshot is part of the deterministic report).
     let mut positions: BTreeSet<(u64, u64)> = BTreeSet::new();
     for l in faults.faulty_links() {
         let pos = subcube_pos(gc, l.lo);
@@ -691,6 +769,38 @@ mod tests {
         assert!(!view.is_node_faulty(NodeId(7)));
     }
 
+    /// The bit indexes grow to the highest faulty id in power-of-two
+    /// words, so they stay within the cube's `2^n` bits, and go with the
+    /// last fault: an empty set owns no heap memory.
+    #[test]
+    fn fault_set_indexes_stay_within_the_cube_and_empty_sets_own_nothing() {
+        let heap = |f: &FaultSet| f.dead_nodes.capacity() + f.dead_links.capacity();
+        let mut f = FaultSet::new();
+        assert_eq!(heap(&f), 0);
+        f.add_node(NodeId(3));
+        f.add_node(NodeId(200));
+        assert_eq!(f.dead_nodes.len(), 4, "word 3 rounds up to 4 words");
+        assert!(f.is_node_faulty(NodeId(3)), "growth keeps the low words");
+        let top = NodeId((1 << 16) - 1); // GC(16): 1,024 words per index
+        f.add_node(top);
+        f.add_link(LinkId::new(top, 15));
+        assert_eq!(f.dead_nodes.len(), 1024);
+        assert_eq!(f.dead_links.len(), 16);
+        assert_eq!(f.dead_links[15].len(), 512, "keyed by the bit-clear end");
+        let mut view = FaultSet::new();
+        view.sync_from(&f);
+        assert_eq!(view.dead_nodes.capacity(), 1024);
+        for v in [3, 200, top.0] {
+            assert!(f.remove_node(NodeId(v)));
+        }
+        assert!(f.remove_link(LinkId::new(top, 15)));
+        assert_eq!(f, FaultSet::new());
+        assert_eq!(heap(&f), 0);
+        view.sync_from(&f);
+        assert_eq!(heap(&view), 0);
+        assert_eq!(view.generation(), f.generation());
+    }
+
     #[test]
     fn link_categories_split_at_alpha() {
         let gc = gc84(); // α = 2
@@ -887,7 +997,7 @@ mod tests {
         let a = fault_budget(&gc, &fwd);
         let b = fault_budget(&gc, &rev);
         assert_eq!(a, b);
-        // Sorted by (k, t): iteration order of the HashSet must not leak.
+        // Sorted by (k, t), not by fault id or insertion order.
         let keys: Vec<(u64, u64)> = a.loaded_subcubes.iter().map(|s| (s.k, s.t)).collect();
         let mut sorted = keys.clone();
         sorted.sort_unstable();

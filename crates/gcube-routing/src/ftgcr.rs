@@ -17,14 +17,16 @@
 //! **Flip scheduling (our addition).** The paper's proof sketch walks the
 //! packet through exact intermediate corners (the node of class `k` whose
 //! `Dim(k)` bits are already final); it does not address the case where such
-//! a corner is itself a faulty *node*. We close that gap at plan time: the
-//! source simulates the corner sequence and, if a corner is faulty,
-//! reschedules flips across multiple visits of the class (inserting a
-//! two-hop bounce to create a second visit when necessary). Each repair
-//! costs at most two extra hops per faulty corner, preserving the spirit of
-//! the paper's `F`-bounded overhead. This uses exactly the fault knowledge
-//! the paper grants a source (assumption 4 of §6: status of B/C faults for
-//! same-ending nodes).
+//! a corner is itself a faulty *node*. We narrow that gap at plan time: the
+//! source simulates the corner sequence and, if a corner is faulty, searches
+//! for a schedule with healthy corners by moving flips between visits of a
+//! class, adding spare flip pairs, or inserting two-hop bounces (32 attempts,
+//! at most 4 bounces). The search can miss a schedule that exists — node 3
+//! faulty in `GC(8, 4)` meets the Theorem-5 precondition yet strands 0 → 2,
+//! which BFS connects in 11 hops — and a repair may cost more than two hops
+//! per faulty corner; ROADMAP.md's first item replaces it with a complete
+//! search. This uses exactly the fault knowledge the paper grants a source
+//! (assumption 4 of §6: status of B/C faults for same-ending nodes).
 //!
 //! **Fault-free fast path.** Theorem 5 keeps fault handling local, so most
 //! plans under sparse faults meet none, and for those the repair search and
@@ -289,10 +291,11 @@ fn repair_exec_plan(
 /// Route from `s` to `d` in `GC(n, 2^α)` under the fault set.
 ///
 /// Returns the route and detour statistics. With an empty fault set this
-/// degenerates to FFGCR (optimal); under the Theorem-3/5 preconditions it
-/// always delivers, livelock-free (masked spare columns and dimensions),
-/// with bounded detour overhead (see the hop-bound tests and
-/// EXPERIMENTS.md).
+/// degenerates to FFGCR (optimal). Under faults the route is livelock-free
+/// (masked spare columns and dimensions), but delivery is not guaranteed
+/// even under the Theorem-3/5 preconditions: the corner repair is a
+/// bounded search that can miss a healthy schedule (see the module doc),
+/// and then this returns an error for a connected pair.
 pub fn route(
     gc: &GaussianCube,
     faults: &FaultSet,

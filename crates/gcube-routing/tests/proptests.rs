@@ -13,7 +13,9 @@ use gcube_routing::multitree::{validate_independence, MultiTreeAtlas, MultiTreeE
 use gcube_routing::pc::pc_path;
 use gcube_routing::verify::{assign_virtual_channels, ChannelDependencyGraph};
 use gcube_routing::{ffgcr, ftgcr, PlanCache, Route, RoutingError};
-use gcube_topology::{search, GaussianCube, GaussianTree, LinkId, NoFaults, NodeId, Topology};
+use gcube_topology::{
+    search, GaussianCube, GaussianTree, LinkId, LinkMask, NoFaults, NodeId, Topology,
+};
 
 fn arb_tree() -> impl Strategy<Value = GaussianTree> {
     (1u32..=10).prop_map(|m| GaussianTree::new(m).unwrap())
@@ -23,6 +25,35 @@ fn arb_gc() -> impl Strategy<Value = GaussianCube> {
     (3u32..=12).prop_flat_map(|n| {
         (Just(n), 0u32..=4.min(n)).prop_map(|(n, a)| GaussianCube::from_alpha(n, a).unwrap())
     })
+}
+
+/// Fault ids for the churn model: the first words, the last words below
+/// 2^16 (so repeats are common at both ends), and anywhere in between.
+fn fault_id() -> impl Strategy<Value = u64> {
+    prop_oneof![0u64..130, (1u64 << 16) - 130..1u64 << 16, 0u64..1 << 16]
+}
+
+/// Every probe of `set` at each `(node, dim)` of `probes` answers as the
+/// model of faulty `nodes` and `links` does.
+fn probes_agree(
+    set: &FaultSet,
+    nodes: &BTreeSet<NodeId>,
+    links: &BTreeSet<LinkId>,
+    probes: impl Iterator<Item = (u64, u32)>,
+) -> Result<(), TestCaseError> {
+    for (u, d) in probes {
+        let (u, l) = (NodeId(u), LinkId::new(NodeId(u), d));
+        let (a, b) = l.endpoints();
+        prop_assert_eq!(set.is_node_faulty(u), nodes.contains(&u), "node {:?}", u);
+        prop_assert_eq!(set.node_ok(u), !nodes.contains(&u));
+        prop_assert_eq!(set.is_link_faulty(l), links.contains(&l), "link {:?}", l);
+        prop_assert_eq!(set.link_ok(l), !links.contains(&l));
+        prop_assert_eq!(
+            set.is_link_usable(l),
+            !links.contains(&l) && !nodes.contains(&a) && !nodes.contains(&b)
+        );
+    }
+    Ok(())
 }
 
 proptest! {
@@ -164,16 +195,24 @@ proptest! {
 
     /// Model-based add/repair round-trips: after every operation in an
     /// arbitrary interleaving, `FaultSet` agrees with a reference model on
-    /// membership and on `is_link_usable` for every probed link.
+    /// every probe around the target (its neighbours and the same bit one
+    /// word either side, in every dimension) and at every earlier target,
+    /// iterates the model in ascending order, and equals both a stale set
+    /// synced onto it and a set rebuilt from the model. Node ids span
+    /// 1,024 bitset words and links 17 dimensions. Once repaired, the set
+    /// equals a fresh one however far its indexes grew, and a stale set
+    /// synced onto a smaller regrowth keeps none of its old bits.
     #[test]
     fn fault_set_matches_model_under_churn(ops in proptest::collection::vec(
-        (0u8..4, 0u64..64, 0u32..6),
+        (0u8..4, fault_id(), 0u32..=16, any::<bool>()),
         1..40,
     )) {
         let mut f = FaultSet::new();
-        let mut nodes: HashSet<NodeId> = HashSet::new();
-        let mut links: HashSet<LinkId> = HashSet::new();
-        for (kind, v, c) in ops {
+        let mut stale = FaultSet::new();
+        let mut nodes: BTreeSet<NodeId> = BTreeSet::new();
+        let mut links: BTreeSet<LinkId> = BTreeSet::new();
+        let mut touched: BTreeSet<(u64, u32)> = BTreeSet::new();
+        for (kind, v, c, sync) in ops {
             let node = NodeId(v);
             let link = LinkId::new(node, c);
             match kind {
@@ -182,16 +221,37 @@ proptest! {
                 2 => { f.add_link(link); links.insert(link); }
                 _ => { prop_assert_eq!(f.remove_link(link), links.remove(&link)); }
             }
+            touched.insert((v, c));
             prop_assert_eq!(f.len(), nodes.len() + links.len());
             prop_assert_eq!(f.is_empty(), nodes.is_empty() && links.is_empty());
-            prop_assert_eq!(f.is_node_faulty(node), nodes.contains(&node));
-            prop_assert_eq!(f.is_link_faulty(link), links.contains(&link));
-            let (a, b) = link.endpoints();
-            prop_assert_eq!(
-                f.is_link_usable(link),
-                !links.contains(&link) && !nodes.contains(&a) && !nodes.contains(&b)
-            );
+            prop_assert!(f.faulty_nodes().eq(nodes.iter().copied()));
+            prop_assert!(f.faulty_links().eq(links.iter().copied()));
+            let rebuilt = FaultSet::from_parts(nodes.clone(), links.clone(), f.generation());
+            prop_assert_eq!(&rebuilt, &f);
+            if sync {
+                stale.sync_from(&f);
+                prop_assert_eq!(&stale, &f);
+                prop_assert_eq!(stale.generation(), f.generation());
+            }
+            let sets: &[&FaultSet] = if sync { &[&f, &rebuilt, &stale] } else { &[&f, &rebuilt] };
+            let window = (v.saturating_sub(2)..=v + 2).chain([v.wrapping_sub(64), v + 64]);
+            for set in sets {
+                let probes = window.clone().flat_map(|u| (0..=16).map(move |d| (u, d)));
+                probes_agree(set, &nodes, &links, probes.chain(touched.iter().copied()))?;
+            }
         }
+        for n in std::mem::take(&mut nodes) {
+            prop_assert!(f.remove_node(n));
+        }
+        for l in std::mem::take(&mut links) {
+            prop_assert!(f.remove_link(l));
+        }
+        prop_assert_eq!(&f, &FaultSet::new());
+        f.add_node(NodeId(0));
+        nodes.insert(NodeId(0));
+        stale.sync_from(&f);
+        prop_assert_eq!(&stale, &f);
+        probes_agree(&stale, &nodes, &links, touched.into_iter())?;
     }
 
     /// ISSUE acceptance: plan-cached FFGCR is *route-identical* to the

@@ -54,7 +54,7 @@ use crate::metrics::{Histogram, Metrics, OpStat, WindowStat, HIST_BUCKETS, MAX_T
 use crate::packet::Packet;
 use crate::proto::{self, Fields, JsonValue, Line, View};
 use crate::shard::Coordinator;
-use crate::soa::{LinkTable, NIL};
+use crate::soa::NIL;
 use crate::telemetry::{FaultBudgetMonitor, NullTelemetry};
 use crate::trace::NullSink;
 
@@ -137,7 +137,7 @@ fn hist_from_json(v: &JsonValue) -> Result<Histogram, String> {
 
 // --- fault-set / packet representations ---------------------------------
 
-/// A fault set flattened to sorted, order-stable parts.
+/// A fault set flattened to its ascending parts.
 #[derive(Clone, Debug, PartialEq)]
 struct FaultsRepr {
     nodes: Vec<u64>,
@@ -147,13 +147,9 @@ struct FaultsRepr {
 
 impl FaultsRepr {
     fn capture(f: &FaultSet) -> FaultsRepr {
-        let mut nodes: Vec<u64> = f.faulty_nodes().map(|v| v.0).collect();
-        nodes.sort_unstable();
-        let mut links: Vec<(u64, u32)> = f.faulty_links().map(|l| (l.lo.0, l.dim)).collect();
-        links.sort_unstable();
         FaultsRepr {
-            nodes,
-            links,
+            nodes: f.faulty_nodes().map(|v| v.0).collect(),
+            links: f.faulty_links().map(|l| (l.lo.0, l.dim)).collect(),
             generation: f.generation(),
         }
     }
@@ -991,7 +987,7 @@ impl Checkpoint {
     /// Rebuild a running engine on `shards` shards from this checkpoint.
     /// `sim` must have been constructed from [`Checkpoint::config`] and a
     /// strategy matching [`Checkpoint::strategy`] / [`Checkpoint::trees`]
-    /// — derived state (cube, link table, plan caches) is rebuilt from it.
+    /// — derived state (cube, plan caches) is rebuilt from it.
     pub(crate) fn rebuild(&self, sim: &Simulator, shards: usize) -> Result<Coordinator, String> {
         if sim.config() != &self.config {
             return Err("simulator config differs from the checkpoint's".into());
@@ -1032,7 +1028,6 @@ impl Checkpoint {
             });
         }
         let (truth, view) = (self.truth.rebuild(), self.view.rebuild());
-        let (n_nodes, n_dims) = (sim.cube().num_nodes(), sim.cube().n());
         for (s, shard) in core.shards_mut().enumerate() {
             // Every shard holds a replica of the fault state.
             shard.converge_at = self.converge_at;
@@ -1042,8 +1037,6 @@ impl Checkpoint {
                 .restore(self.injector_rng, pending.clone(), self.fault_trace.clone());
             shard.truth = truth.clone();
             shard.view = view.clone();
-            shard.links = LinkTable::new(n_nodes, n_dims);
-            shard.links.sync(&shard.truth);
             // The counts restore into the coordinator. Workers get the
             // same windows and collective ops with nothing counted yet,
             // so the positional reduction lines up.

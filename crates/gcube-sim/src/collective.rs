@@ -30,7 +30,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use gcube_routing::plan_cache::PlanCache;
-use gcube_routing::{BroadcastTree, RepairOutcome, Route};
+use gcube_routing::{BroadcastTree, FaultSet, RepairOutcome, Route};
 use gcube_topology::{GaussianCube, LinkMask, NodeId, Topology};
 
 use crate::config::CollectiveOp;
@@ -146,26 +146,22 @@ impl CollectivePlanner {
 
     /// Plan operation `op_index` against the routing `view` at fault
     /// `generation` (the view's change stamp — the tree-cache
-    /// invalidation key), filtering sources through `src_dead` (the
-    /// ground truth: a node that is actually dead cannot transmit,
-    /// whatever the view believes).
+    /// invalidation key), filtering sources through the ground `truth`:
+    /// a node that is actually dead cannot transmit, whatever the view
+    /// believes.
     ///
     /// Returns `None` — a *skipped* operation — when every candidate
     /// root of the scheduled class is dead in the view, or when source
     /// filtering leaves no packet to inject (e.g. a broadcast whose
     /// view-healthy root is truth-dead).
-    pub fn plan<M, F>(
+    pub fn plan<M: LinkMask + ?Sized>(
         &self,
         gc: &GaussianCube,
         view: &M,
         generation: u64,
-        src_dead: F,
+        truth: &FaultSet,
         op_index: u64,
-    ) -> Option<LaunchPlan>
-    where
-        M: LinkMask + ?Sized,
-        F: Fn(NodeId) -> bool,
-    {
+    ) -> Option<LaunchPlan> {
         let classes = 1u64 << gc.alpha();
         let class = op_index % classes;
         let n_nodes = gc.num_nodes();
@@ -176,7 +172,7 @@ impl CollectivePlanner {
             .map(NodeId)
             .find(|&v| view.node_ok(v))?;
         let (tree, repair) = self.cache.broadcast_tree_for(gc, view, root, generation);
-        let packets = self.flatten(&tree, op_index, &src_dead);
+        let packets = self.flatten(&tree, op_index, truth);
         if packets.is_empty() {
             return None;
         }
@@ -191,12 +187,7 @@ impl CollectivePlanner {
     }
 
     /// Flatten the tree into rank-ordered per-target packets.
-    fn flatten<F: Fn(NodeId) -> bool>(
-        &self,
-        tree: &BroadcastTree,
-        op_index: u64,
-        src_dead: &F,
-    ) -> Vec<LaunchPacket> {
+    fn flatten(&self, tree: &BroadcastTree, op_index: u64, truth: &FaultSet) -> Vec<LaunchPacket> {
         let root = tree.root;
         let mut packets = Vec::new();
         for (rank, &v) in tree.order.iter().enumerate() {
@@ -216,7 +207,7 @@ impl CollectivePlanner {
                 }
                 CollectiveOp::Gather => (v, Route::new(tree.path_to_root(v))),
             };
-            if src_dead(src) {
+            if truth.is_node_faulty(src) {
                 continue;
             }
             packets.push(LaunchPacket {
@@ -337,7 +328,6 @@ impl RepairLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcube_routing::FaultSet;
 
     fn planner(op: CollectiveOp, gc: &GaussianCube) -> CollectivePlanner {
         CollectivePlanner::new(op, 10, 42, Arc::new(PlanCache::new(gc)))
@@ -367,9 +357,7 @@ mod tests {
         let gc = GaussianCube::new(6, 2).unwrap();
         let p = planner(CollectiveOp::Broadcast, &gc);
         let view = FaultSet::new();
-        let plan = p
-            .plan(&gc, &view, 0, |_| false, 0)
-            .expect("fault-free plan");
+        let plan = p.plan(&gc, &view, 0, &view, 0).expect("fault-free plan");
         assert_eq!(plan.root, NodeId(0));
         assert_eq!(plan.class, 0);
         assert_eq!(plan.packets.len() as u64, gc.num_nodes() - 1);
@@ -388,9 +376,7 @@ mod tests {
         let gc = GaussianCube::new(6, 2).unwrap();
         let p = planner(CollectiveOp::Gather, &gc);
         let view = FaultSet::new();
-        let plan = p
-            .plan(&gc, &view, 0, |_| false, 1)
-            .expect("fault-free plan");
+        let plan = p.plan(&gc, &view, 0, &view, 1).expect("fault-free plan");
         assert_eq!(plan.class, 1, "op 1 roots in ending class 1");
         assert_eq!(plan.root, NodeId(1));
         for pkt in &plan.packets {
@@ -404,8 +390,8 @@ mod tests {
         let gc = GaussianCube::new(6, 2).unwrap();
         let p = planner(CollectiveOp::Multicast, &gc);
         let view = FaultSet::new();
-        let a = p.plan(&gc, &view, 0, |_| false, 0).unwrap();
-        let b = p.plan(&gc, &view, 0, |_| false, 0).unwrap();
+        let a = p.plan(&gc, &view, 0, &view, 0).unwrap();
+        let b = p.plan(&gc, &view, 0, &view, 0).unwrap();
         assert_eq!(a.packets.len(), b.packets.len(), "same op, same subset");
         assert!(
             (a.packets.len() as u64) < gc.num_nodes() - 1,
@@ -419,7 +405,7 @@ mod tests {
             43,
             Arc::new(PlanCache::new(&gc)),
         );
-        let c = p2.plan(&gc, &view, 0, |_| false, 0).unwrap();
+        let c = p2.plan(&gc, &view, 0, &view, 0).unwrap();
         let ids = |pl: &LaunchPlan| pl.packets.iter().map(|p| p.id).collect::<Vec<_>>();
         assert_ne!(ids(&a), ids(&c), "membership depends on the seed");
     }
@@ -431,7 +417,8 @@ mod tests {
         let mut view = FaultSet::new();
         view.add_node(NodeId(0)); // first candidate of class 0
         let p = planner(CollectiveOp::Broadcast, &gc);
-        let plan = p.plan(&gc, &view, 0, |_| false, 0).expect("fallback root");
+        let healthy = FaultSet::new();
+        let plan = p.plan(&gc, &view, 0, &healthy, 0).expect("fallback root");
         assert_eq!(plan.root, NodeId(classes), "next node of the class");
         // Kill the whole class: the operation is skipped.
         let mut all_dead = FaultSet::new();
@@ -439,7 +426,7 @@ mod tests {
             all_dead.add_node(NodeId(v));
         }
         assert!(p
-            .plan(&gc, &all_dead, all_dead.generation(), |_| false, 0)
+            .plan(&gc, &all_dead, all_dead.generation(), &healthy, 0)
             .is_none());
     }
 
@@ -448,12 +435,13 @@ mod tests {
         let gc = GaussianCube::new(6, 2).unwrap();
         let view = FaultSet::new(); // stale: believes everything healthy
         let p = planner(CollectiveOp::Broadcast, &gc);
+        let dead = |v| FaultSet::from_parts([NodeId(v)], [], 1);
         // The root is truth-dead: the whole broadcast fizzles.
-        assert!(p.plan(&gc, &view, 0, |v| v == NodeId(0), 0).is_none());
+        assert!(p.plan(&gc, &view, 0, &dead(0), 0).is_none());
         // Gather: only the dead source's packet is filtered.
         let g = planner(CollectiveOp::Gather, &gc);
-        let full = g.plan(&gc, &view, 0, |_| false, 0).unwrap();
-        let filtered = g.plan(&gc, &view, 0, |v| v == NodeId(3), 0).unwrap();
+        let full = g.plan(&gc, &view, 0, &view, 0).unwrap();
+        let filtered = g.plan(&gc, &view, 0, &dead(3), 0).unwrap();
         assert_eq!(filtered.packets.len(), full.packets.len() - 1);
         assert!(filtered.packets.iter().all(|p| p.src != NodeId(3)));
     }
@@ -463,16 +451,14 @@ mod tests {
         let gc = GaussianCube::new(6, 2).unwrap();
         let p = planner(CollectiveOp::Broadcast, &gc);
         let view = FaultSet::new();
-        let plan = p.plan(&gc, &view, 0, |_| false, 0).unwrap();
+        let plan = p.plan(&gc, &view, 0, &view, 0).unwrap();
         let mut ledger = RepairLedger::new(1 << gc.alpha());
         assert!(ledger.note(&plan).is_none(), "first build is not a repair");
         assert!(ledger.note(&plan).is_none(), "same generation is a hit");
         // Bump the generation: the next launch accounts one repair.
         let mut view2 = FaultSet::new();
         view2.add_node(NodeId(5));
-        let plan2 = p
-            .plan(&gc, &view2, view2.generation(), |_| false, 0)
-            .unwrap();
+        let plan2 = p.plan(&gc, &view2, view2.generation(), &view, 0).unwrap();
         assert_ne!(plan2.generation, plan.generation);
         assert!(ledger.note(&plan2).is_some(), "generation change accounts");
         assert!(ledger.note(&plan2).is_none(), "but only once");

@@ -108,7 +108,7 @@ use crate::metrics::{
 };
 use crate::packet::Packet;
 use crate::profiler::{ProfSample, ProfilerSink, ShardProfile};
-use crate::soa::{LinkTable, NodeQueues, PacketStore};
+use crate::soa::{NodeQueues, PacketStore};
 use crate::strategy::{PlannedRoute, TreeChoice};
 use crate::telemetry::{CycleView, FaultBudgetMonitor, Phase, ShardTelemetry, TelemetrySink};
 use crate::trace::{DropCause, TraceEvent, TraceEventKind, TraceSink, NETWORK_EVENT_PACKET};
@@ -411,9 +411,9 @@ struct CycleStart {
 }
 
 /// One node range's state and the kernel's per-cycle phases over it:
-/// its packets, queues and link table, its replicas of the truth, view
-/// and fault injector, and its additive share of the run's metrics,
-/// windows, collective records, telemetry delta and trace events.
+/// its packets and queues, its replicas of the truth, view and fault
+/// injector, and its additive share of the run's metrics, windows,
+/// collective records, telemetry delta and trace events.
 pub(crate) struct Shard {
     me: usize,
     /// Ending class → owning shard.
@@ -423,7 +423,6 @@ pub(crate) struct Shard {
     n_nodes: u64,
     pub(crate) store: PacketStore,
     pub(crate) queues: NodeQueues,
-    pub(crate) links: LinkTable,
     pub(crate) class_queued: Vec<u64>,
     pub(crate) class_occupied: Vec<u64>,
     pub(crate) truth: FaultSet,
@@ -499,8 +498,6 @@ impl Shard {
         let synced = (truth.generation(), view.generation());
         let queues = NodeQueues::new(n_nodes);
         let injector = FaultInjector::new(&sim.gc, cfg.schedule.clone(), cfg.seed);
-        let mut links = LinkTable::new(n_nodes, sim.gc.n());
-        links.sync(&truth);
         Shard {
             me,
             class_owner,
@@ -509,7 +506,6 @@ impl Shard {
             n_nodes,
             store: PacketStore::new(),
             queues,
-            links,
             class_queued: vec![0; cmask + 1],
             class_occupied: vec![0; cmask + 1],
             truth,
@@ -639,14 +635,13 @@ impl Shard {
         }
         start.applied = self.injector.step(cycle, &mut self.truth);
         if start.applied > 0 {
-            self.links.sync(&self.truth);
             // The occupancy bitset holds exactly this shard's non-empty
             // nodes, in ascending order — the stranding order.
             let mut buf = mem::take(&mut self.scan_buf);
             self.queues.collect_occupied(&mut buf);
             for &vq in &buf {
                 let v = vq as usize;
-                if !self.links.node_faulty(u64::from(vq)) {
+                if !self.truth.is_node_faulty(NodeId(u64::from(vq))) {
                     continue;
                 }
                 let mut seq = 0;
@@ -691,12 +686,11 @@ impl Shard {
         let plan = {
             let cp = self.collective.as_ref()?;
             let op_index = cp.due(cycle, sim.config.inject_cycles)?;
-            let links = &self.links;
             cp.plan(
                 &sim.gc,
                 &self.view,
                 self.view.generation(),
-                |v: NodeId| links.node_faulty(v.0),
+                &self.truth,
                 op_index,
             )
         };
@@ -926,7 +920,7 @@ impl Shard {
                 continue;
             };
             let dim = (from.0 ^ to.0).trailing_zeros();
-            if self.dynamic && !self.links.link_usable(from, to, dim) {
+            if self.dynamic && !self.truth.is_link_usable(LinkId::new(from, dim)) {
                 // The planned hop is dead: the holder observes the
                 // failure. Either way this packet spends the cycle here.
                 let pkt = self.store.snapshot(head);
@@ -1090,7 +1084,7 @@ impl Shard {
         let key = |seq| ekey(SUB_SCAN, u64::from(svc), seq);
         let from = pkt.current();
         let to = pkt.next_hop().expect("blocked heads have a next hop");
-        let op = if self.links.node_faulty(to.0) {
+        let op = if self.truth.is_node_faulty(to) {
             ViewOp::Node(to)
         } else {
             ViewOp::Link(LinkId::new(from, (from.0 ^ to.0).trailing_zeros()))
@@ -1720,9 +1714,9 @@ impl Coordinator {
         let mut cycle_injected = 0u64;
         let n_nodes = sim.gc.num_nodes();
         let mut from = 0;
-        while let Some(v) = self
-            .traffic
-            .next_source(self.shard.links.dead_nodes(), from, n_nodes)
+        while let Some(v) =
+            self.traffic
+                .next_source(self.shard.truth.dead_node_words(), from, n_nodes)
         {
             from = v + 1;
             let shard = &mut self.shard;

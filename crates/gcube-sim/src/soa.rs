@@ -1,4 +1,4 @@
-//! Structure-of-arrays packet and link state for the forwarding hot path.
+//! Structure-of-arrays packet state for the forwarding hot path.
 //!
 //! The engines used to keep one `VecDeque<Packet>` per node: 2^n
 //! independently allocated ring buffers, each holding boxed routes, with
@@ -6,7 +6,7 @@
 //! a packet. At `GC(14)` that is 16 384 scattered allocations walked per
 //! cycle; at `GC(20)` it does not fit a cache level at all.
 //!
-//! This module replaces that layout with three flat structures:
+//! This module replaces that layout with two flat structures:
 //!
 //! * [`PacketStore`] — an arena of packets in struct-of-arrays form. Every
 //!   scalar field lives in its own contiguous `Vec`, indexed by a stable
@@ -20,16 +20,16 @@
 //!   with word operations (one `u64` covers 64 nodes) in the engine's
 //!   rotated service order, so a cycle's forwarding cost is proportional
 //!   to the nodes that actually hold packets, not to the network size.
-//! * [`LinkTable`] — per-dimension dead-link bitsets and a dead-node
-//!   bitset, rebuilt from a [`FaultSet`] only when its generation stamp
-//!   changes. The forwarding check `is_link_usable` drops from three hash
-//!   probes per forwarded packet to three bit probes.
+//!
+//! Fault state has one store, the [`FaultSet`](gcube_routing::FaultSet):
+//! the forwarding check, stranding and the injection scan probe the
+//! shard's ground-truth replica, whose bit indexes answer in O(1).
 //!
 //! The cycle kernel ([`crate::shard`]) runs every schedule over these
 //! types; reports, traces, and telemetry are bit-identical for every
 //! shard count (the pinned digests and the session proptests check this).
 
-use gcube_routing::{FaultSet, Route};
+use gcube_routing::Route;
 use gcube_topology::NodeId;
 
 use crate::packet::Packet;
@@ -312,76 +312,9 @@ impl NodeQueues {
     }
 }
 
-/// Bitset mirror of a [`FaultSet`], rebuilt only when the set's
-/// generation stamp moves: a dead-node bitset plus one dead-link bitset
-/// per dimension (indexed by the link's canonical bit-clear endpoint).
-#[derive(Debug)]
-pub(crate) struct LinkTable {
-    synced: Option<u64>,
-    words: usize,
-    node_dead: Vec<u64>,
-    /// `dim * words + w` — flattened per-dimension dead-link bitsets.
-    dim_dead: Vec<u64>,
-}
-
-impl LinkTable {
-    pub fn new(n_nodes: u64, n_dims: u32) -> LinkTable {
-        let words = (n_nodes as usize).div_ceil(64);
-        LinkTable {
-            synced: None,
-            words,
-            node_dead: vec![0; words],
-            dim_dead: vec![0; words * n_dims as usize],
-        }
-    }
-
-    /// Rebuild from `faults` iff its generation moved since the last sync.
-    pub fn sync(&mut self, faults: &FaultSet) {
-        if self.synced == Some(faults.generation()) {
-            return;
-        }
-        self.node_dead.fill(0);
-        self.dim_dead.fill(0);
-        for n in faults.faulty_nodes() {
-            self.node_dead[n.0 as usize / 64] |= 1u64 << (n.0 % 64);
-        }
-        for l in faults.faulty_links() {
-            let (lo, hi) = l.endpoints();
-            let dim = (lo.0 ^ hi.0).trailing_zeros() as usize;
-            self.dim_dead[dim * self.words + lo.0 as usize / 64] |= 1u64 << (lo.0 % 64);
-        }
-        self.synced = Some(faults.generation());
-    }
-
-    #[inline]
-    pub fn node_faulty(&self, v: u64) -> bool {
-        self.node_dead[v as usize / 64] & (1u64 << (v % 64)) != 0
-    }
-
-    /// The dead-node bitset, one bit per node (bits past the last node
-    /// are clear), for scans that walk it a word at a time.
-    pub fn dead_nodes(&self) -> &[u64] {
-        &self.node_dead
-    }
-
-    /// Mirror of [`FaultSet::is_link_usable`] for the hop `from → to`
-    /// over `dim`: the link itself and both endpoints must be healthy.
-    #[inline]
-    pub fn link_usable(&self, from: NodeId, to: NodeId, dim: u32) -> bool {
-        let canon = from.0 & !(1u64 << dim);
-        debug_assert_eq!(from.0 ^ to.0, 1u64 << dim, "hop must be one dimension");
-        !self.node_faulty(from.0)
-            && !self.node_faulty(to.0)
-            && self.dim_dead[dim as usize * self.words + canon as usize / 64]
-                & (1u64 << (canon % 64))
-                == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcube_topology::LinkId;
 
     fn route(nodes: &[u64]) -> Route {
         Route::new(nodes.iter().map(|&v| NodeId(v)).collect())
@@ -475,32 +408,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// The bitset table answers exactly like the hash-set it mirrors.
-    #[test]
-    fn link_table_mirrors_fault_set() {
-        let mut faults = FaultSet::new();
-        faults.add_node(NodeId(9));
-        faults.add_link(LinkId::new(NodeId(4), 1));
-        faults.add_link(LinkId::new(NodeId(67), 3));
-        let mut table = LinkTable::new(128, 7);
-        table.sync(&faults);
-        for v in 0..128u64 {
-            assert_eq!(table.node_faulty(v), faults.is_node_faulty(NodeId(v)));
-            for dim in 0..7u32 {
-                let from = NodeId(v);
-                let to = NodeId(v ^ (1 << dim));
-                assert_eq!(
-                    table.link_usable(from, to, dim),
-                    faults.is_link_usable(LinkId::new(from, dim)),
-                    "v={v} dim={dim}"
-                );
-            }
-        }
-        // Repair propagates on the next generation change.
-        faults.remove_node(NodeId(9));
-        table.sync(&faults);
-        assert!(!table.node_faulty(9));
     }
 }

@@ -118,7 +118,7 @@ impl TrafficGen {
 
     /// The first node in `from..n` that is alive and whose Bernoulli
     /// draw fires. `dead` is a dead-node bitset (bit `v % 64` of word
-    /// `v / 64`, at least `n` bits).
+    /// `v / 64`); a word past the end of the slice is all live.
     ///
     /// Every live node consumes exactly one draw, in node order, so
     /// alternating this scan with [`TrafficGen::pick_dest`] reproduces
@@ -134,8 +134,8 @@ impl TrafficGen {
         let threshold = self.threshold;
         let mut rng = self.rng.clone();
         let mut found = None;
-        'scan: for (w, &dead_w) in dead.iter().enumerate().take(last + 1).skip(first) {
-            let mut live = !dead_w;
+        'scan: for w in first..=last {
+            let mut live = !dead.get(w).copied().unwrap_or(0);
             if w == first {
                 live &= u64::MAX << (from % 64);
             }
@@ -313,29 +313,37 @@ mod scan_tests {
     use proptest::prelude::*;
 
     /// The per-node loop the word scan replaces, drawing through the
-    /// float `gen_bool` rather than the shared integer threshold.
+    /// float `gen_bool` rather than the shared integer threshold. A word
+    /// missing from `dead` is all live.
     fn reference(t: &mut TrafficGen, rate: f64, dead: &[u64], from: u64, n: u64) -> Option<u64> {
-        let is_dead = |v: u64| dead[v as usize / 64] >> (v % 64) & 1 == 1;
+        let is_dead = |v: u64| {
+            dead.get(v as usize / 64)
+                .is_some_and(|w| w >> (v % 64) & 1 == 1)
+        };
         (from..n).find(|&v| !is_dead(v) && t.rng.gen_bool(rate))
     }
 
-    /// A dead-node bitset over `n` nodes: all live, all dead, sparse, or
-    /// a per-word mix of the three. Bits past `n` stay clear, as in
-    /// `LinkTable`.
+    /// A dead-node bitset over `n` nodes: all live, all dead, sparse, a
+    /// per-word mix of the three, or that mix cut to a random prefix
+    /// (empty included), as `FaultSet::dead_node_words` ends at the
+    /// highest faulty node. Bits past `n` stay clear.
     fn dead_words(n: u64, layout: u8, seed: u64) -> Vec<u64> {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut words: Vec<u64> = (0..n.div_ceil(64))
             .map(|_| {
                 let sparse = rng.next_u64() & rng.next_u64() & rng.next_u64();
                 match (layout, rng.gen_range(0..3u8)) {
-                    (0, _) | (3, 0) => 0,
-                    (1, _) | (3, 1) => u64::MAX,
+                    (0, _) | (3 | 4, 0) => 0,
+                    (1, _) | (3 | 4, 1) => u64::MAX,
                     _ => sparse,
                 }
             })
             .collect();
         if !n.is_multiple_of(64) {
             *words.last_mut().unwrap() &= (1u64 << (n % 64)) - 1;
+        }
+        if layout == 4 {
+            words.truncate(rng.gen_range(0..=words.len()));
         }
         words
     }
@@ -387,7 +395,7 @@ mod scan_tests {
         #[test]
         fn scan_matches_the_per_node_loop(
             (n, layout, dead_seed, from_raw, rate, seed)
-                in (1u64..=300, 0u8..4, any::<u64>(), any::<u64>(), rates(), any::<u64>())
+                in (1u64..=300, 0u8..5, any::<u64>(), any::<u64>(), rates(), any::<u64>())
         ) {
             let gc = GaussianCube::new(6, 2).unwrap();
             let faults = FaultSet::new();
