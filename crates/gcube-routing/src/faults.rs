@@ -672,26 +672,71 @@ pub fn crossing_faults(
     out
 }
 
+/// Whether one block's crossing faults break Theorem 5's bound for sides
+/// of `dp` and `dq` dimensions. A zero-dimensional side cannot detour at
+/// all, so it tolerates zero faults (hence the `.max(1)` floor on the
+/// strict bound).
+fn crossing_overloaded(cf: &CrossingFaults, dp: u32, dq: u32) -> bool {
+    (cf.e_s + cf.e_cross) as u32 >= dp.max(1) || (cf.e_t + cf.e_cross) as u32 >= dq.max(1)
+}
+
 /// Theorem 5 precondition: for every tree edge `(p, q)` and every block
 /// `k̃`: `e_s + e' < |Dim(p)|` and `e_t + e' < |Dim(q)|`.
+///
+/// Only blocks that hold a fault can break the bound, since a fault-free
+/// block counts `0 < max(|Dim|, 1)`. So each fault is bucketed once per
+/// tree edge by its block (its node bits outside `[0, α) ∪ Dim(p) ∪
+/// Dim(q)`), with [`crossing_faults`]' classification, and only those
+/// buckets are tested: O(edges · faults) instead of one fault scan per
+/// block.
 pub fn theorem5_precondition(gc: &GaussianCube, faults: &FaultSet) -> bool {
     let (n, alpha) = (gc.n(), gc.alpha());
     let tree = GaussianTree::new(alpha).expect("alpha within cap");
+    let class_mask = |k: u64| dims(n, alpha, k).iter().fold(0u64, |m, &c| m | 1 << c);
+    let high = u64::MAX.checked_shr(64 - n).unwrap_or(0) & !((1u64 << alpha) - 1);
+    let mut blocks: Vec<(u64, CrossingFaults)> = Vec::new();
     for edge in tree.links() {
-        let (p, q) = edge.endpoints();
-        let dp = dim_count(n, alpha, p.0);
-        let dq = dim_count(n, alpha, q.0);
-        let free = dp + dq;
-        let blocks = 1u64 << (n - alpha - free);
-        for block in 0..blocks {
-            let cf = crossing_faults(gc, faults, p.0, q.0, block);
-            // A zero-dimensional side cannot detour at all, so it tolerates
-            // zero faults (hence the `.max(1)` floor on the strict bound).
-            if (cf.e_s + cf.e_cross) as u32 >= dp.max(1)
-                || (cf.e_t + cf.e_cross) as u32 >= dq.max(1)
-            {
-                return false;
+        let (p, q) = (edge.endpoints().0 .0, edge.endpoints().1 .0);
+        let c0 = tree
+            .edge_dim(NodeId(p), NodeId(q))
+            .expect("tree links are tree edges");
+        let (mp, mq) = (class_mask(p), class_mask(q));
+        let outside = high & !mp & !mq;
+        blocks.clear();
+        let mut count = |v: NodeId, side: fn(&mut CrossingFaults) -> &mut usize| {
+            let block = v.0 & outside;
+            let i = match blocks.iter().position(|&(b, _)| b == block) {
+                Some(i) => i,
+                None => {
+                    blocks.push((block, CrossingFaults::default()));
+                    blocks.len() - 1
+                }
+            };
+            *side(&mut blocks[i].1) += 1;
+        };
+        for v in faults.faulty_nodes() {
+            match gc.ending_class(v) {
+                k if k == p => count(v, |cf| &mut cf.e_s),
+                k if k == q => count(v, |cf| &mut cf.e_t),
+                _ => {}
             }
+        }
+        for l in faults.faulty_links() {
+            let (a, b) = l.endpoints();
+            let ka = gc.ending_class(a);
+            if l.dim == c0 && (ka == p || ka == q) {
+                if !faults.is_node_faulty(a) && !faults.is_node_faulty(b) {
+                    count(a, |cf| &mut cf.e_cross);
+                }
+            } else if ka == p && mp >> l.dim & 1 == 1 {
+                count(a, |cf| &mut cf.e_s);
+            } else if ka == q && mq >> l.dim & 1 == 1 {
+                count(a, |cf| &mut cf.e_t);
+            }
+        }
+        let (dp, dq) = (mp.count_ones(), mq.count_ones());
+        if blocks.iter().any(|(_, cf)| crossing_overloaded(cf, dp, dq)) {
+            return false;
         }
     }
     true
@@ -1075,6 +1120,61 @@ mod tests {
         // Same faults seen from a different block: nothing.
         let cf1 = crossing_faults(&gc, &f, 2, 3, 1);
         assert_eq!(cf1, CrossingFaults::default());
+    }
+
+    /// Theorem 5's precondition as the per-block definition reads: every
+    /// block of every tree edge, each counted by [`crossing_faults`].
+    fn theorem5_precondition_per_block(gc: &GaussianCube, faults: &FaultSet) -> bool {
+        let (n, alpha) = (gc.n(), gc.alpha());
+        let tree = GaussianTree::new(alpha).expect("alpha within cap");
+        tree.links().iter().all(|edge| {
+            let (p, q) = edge.endpoints();
+            let dp = dim_count(n, alpha, p.0);
+            let dq = dim_count(n, alpha, q.0);
+            let blocks = 1u64 << (n - alpha - dp - dq);
+            (0..blocks).all(|block| {
+                let cf = crossing_faults(gc, faults, p.0, q.0, block);
+                !crossing_overloaded(&cf, dp, dq)
+            })
+        })
+    }
+
+    #[test]
+    fn theorem5_precondition_matches_per_block_oracle() {
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |bound: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % bound
+        };
+        let (mut held, mut broken) = (0, 0);
+        for (n, m) in [(8u32, 4u64), (9, 2), (10, 8)] {
+            let gc = GaussianCube::new(n, m).unwrap();
+            for _ in 0..300 {
+                let mut f = FaultSet::new();
+                for _ in 0..next(7) {
+                    f.add_node(NodeId(next(gc.num_nodes())));
+                }
+                for _ in 0..next(9) {
+                    let v = NodeId(next(gc.num_nodes()));
+                    let dims: Vec<u32> = (0..n).filter(|&c| gc.has_link(v, c)).collect();
+                    f.add_link(LinkId::new(v, dims[next(dims.len() as u64) as usize]));
+                }
+                let fast = theorem5_precondition(&gc, &f);
+                assert_eq!(
+                    fast,
+                    theorem5_precondition_per_block(&gc, &f),
+                    "GC({n},{m}) {f:?}"
+                );
+                if fast {
+                    held += 1;
+                } else {
+                    broken += 1;
+                }
+            }
+        }
+        assert!(held >= 100 && broken >= 100, "held {held}, broken {broken}");
     }
 
     #[test]

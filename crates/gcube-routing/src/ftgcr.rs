@@ -71,8 +71,8 @@ use crate::faults::FaultSet;
 use crate::ffgcr;
 use crate::freh::{route_crossing, CrossingStats};
 use crate::hypercube_ft::{route_adaptive, to_host_path, VirtualCube};
-use crate::plan_cache::{CachedWalk, PlanCache};
-use crate::route::{Route, RoutingError};
+use crate::plan_cache::{PlanCache, WalkPosition, WalkRoute};
+use crate::route::{Route, RoutingError, Trajectory};
 
 /// Statistics aggregated over a full FTGCR route.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -107,6 +107,12 @@ struct ExecPlan {
 }
 
 impl ExecPlan {
+    /// The schedule of a default replay's steps (see [`region_clear`]).
+    fn from_steps(steps: impl Iterator<Item = (Option<u32>, u64, u64)>) -> ExecPlan {
+        let (walk, flips_at) = steps.map(|(_, k, flips)| (k, flips)).unzip();
+        ExecPlan { walk, flips_at }
+    }
+
     /// The corner the packet occupies after the crossing into walk position
     /// `i` and that position's flips.
     fn corners(&self, gc: &GaussianCube, s: NodeId) -> Vec<NodeId> {
@@ -323,6 +329,31 @@ pub fn route_cached(
     route_impl(gc, faults, s, d, Some(cache))
 }
 
+/// [`route_cached`] in the form the simulator forwards: at 1 ≤ α ≤ 3 a
+/// plan that takes the fast path is its FFGCR route in walk form, so it
+/// allocates nothing. Every other plan is [`route_cached`]'s explicit
+/// route; either way the hops are the same.
+pub fn plan_cached(
+    gc: &GaussianCube,
+    faults: &FaultSet,
+    s: NodeId,
+    d: NodeId,
+    cache: &PlanCache,
+) -> Result<Trajectory, RoutingError> {
+    check_endpoints(gc, faults, s, d)?;
+    if gc.alpha() > 0 && cache.matches(gc) {
+        if let Some(guarded) = guard_walk(cache, faults, s, d) {
+            return match guarded {
+                Ok(w) => Ok(Trajectory::Walk(w)),
+                Err((ep, hops)) => {
+                    execute_plan(gc, faults, s, d, ep, hops).map(|(r, _)| Trajectory::Route(r))
+                }
+            };
+        }
+    }
+    route_impl(gc, faults, s, d, Some(cache)).map(|(r, _)| Trajectory::Route(r))
+}
+
 fn route_impl(
     gc: &GaussianCube,
     faults: &FaultSet,
@@ -350,24 +381,24 @@ fn route_impl(
     // — both paths produce the identical ExecPlan. A plan whose region
     // holds no fault is replayed before any repair or crossing runs.
     let (ep, plan_hops) = match cache.filter(|c| c.is_active() && c.matches(gc)) {
-        Some(c) => {
-            let (walk, high) = c.walk_and_flips(gc, s, d);
-            if let Some(fast) = fast_cached(c, &walk, high, faults, s) {
-                return Ok(fast);
+        Some(c) => match guard_walk(c, faults, s, d) {
+            Some(Ok(w)) => {
+                let rule = c.rule().expect("walk routes come with their rule");
+                let high = rule.high_flips(s, d);
+                let steps = default_steps(rule.positions(&w), high, |k| rule.class_dims(k));
+                return Ok(replay(s, w.hops(), steps));
             }
-            let mut flips_at = vec![0u64; walk.classes.len()];
-            for (i, &k) in walk.classes.iter().enumerate() {
-                if walk.first_visit[i] {
-                    flips_at[i] = c.class_dims(k) & high;
+            Some(Err(slow)) => slow,
+            None => {
+                let (walk, high) = c.walk_and_flips(gc, s, d);
+                let steps = default_steps(walk.positions(), high, |k| c.class_dims(k));
+                let hops = walk.tree_hops() + high.count_ones() as usize;
+                if region_clear(faults, s, steps.clone(), |k| c.class_dims(k)) {
+                    return Ok(replay(s, hops, steps));
                 }
+                (ExecPlan::from_steps(steps), hops)
             }
-            let plan_hops = walk.tree_hops() + high.count_ones() as usize;
-            let ep = ExecPlan {
-                walk: walk.classes.clone(),
-                flips_at,
-            };
-            (ep, plan_hops)
-        }
+        },
         None => {
             let plan = ffgcr::plan(gc, s, d);
             let hops = plan.hops();
@@ -404,26 +435,42 @@ fn check_endpoints(
     Ok(())
 }
 
-/// The fast path over a cached walk: the default schedule read straight
-/// from `walk` and the pair's high-dimension flip mask `high`.
-fn fast_cached(
-    c: &PlanCache,
-    walk: &CachedWalk,
+/// A cached walk's default schedule: per position, the crossing into
+/// it, its class, and the flips FFGCR makes there — the class's pending
+/// dimensions of `high` at its first visit.
+fn default_steps(
+    positions: impl Iterator<Item = WalkPosition> + Clone,
     high: u64,
+    class_dims: impl Fn(u64) -> u64 + Clone,
+) -> impl Iterator<Item = (Option<u32>, u64, u64)> + Clone {
+    positions.map(move |(cross, k, first)| {
+        let flips = if first { class_dims(k) & high } else { 0 };
+        (cross, k, flips)
+    })
+}
+
+/// A default schedule bound for the slow path, with its planned hops.
+type SlowPlan = (ExecPlan, usize);
+
+/// The fast-path guard over the walk-form plan `s → d` (α ≤ 3; `None`
+/// otherwise), after one counted cache lookup: the walk when no fault
+/// lies in its region, else the default schedule for the slow path.
+fn guard_walk(
+    c: &PlanCache,
     faults: &FaultSet,
     s: NodeId,
-) -> Option<(Route, FtgcrStats)> {
-    let steps = walk.classes.iter().enumerate().map(|(i, &k)| {
-        let cross = i.checked_sub(1).map(|j| walk.edge_dims[j]);
-        let flips = if walk.first_visit[i] {
-            c.class_dims(k) & high
-        } else {
-            0
-        };
-        (cross, k, flips)
-    });
-    let hops = walk.tree_hops() + high.count_ones() as usize;
-    replay_if_clear(faults, s, hops, steps, |k| c.class_dims(k))
+    d: NodeId,
+) -> Option<Result<WalkRoute, SlowPlan>> {
+    let rule = c.rule()?;
+    let w = c.walk_route(s, d)?;
+    let high = rule.high_flips(s, d);
+    let steps = default_steps(rule.positions(&w), high, |k| rule.class_dims(k));
+    let clear = region_clear(faults, s, steps.clone(), |k| rule.class_dims(k));
+    Some(if clear {
+        Ok(w)
+    } else {
+        Err((ExecPlan::from_steps(steps), w.hops()))
+    })
 }
 
 /// The fast path over an uncached default schedule.
@@ -444,35 +491,43 @@ fn fast_uncached(
         (cross, k, ep.flips_at[i])
     });
     let class_dims = |k| dims(n, alpha, k).iter().fold(0u64, |m, &c| m | (1u64 << c));
-    replay_if_clear(faults, s, hops, steps, class_dims)
+    region_clear(faults, s, steps.clone(), class_dims).then(|| replay(s, hops, steps))
 }
 
-/// Replay a default schedule when no fault lies in the region the slow
-/// path consults (module doc, "Fault-free fast path"); `None` otherwise.
+/// Whether no fault lies in the region the slow path consults for a
+/// default schedule (module doc, "Fault-free fast path").
 ///
 /// `steps` yields, per walk position, the crossing dimension into it (none
 /// at position 0), its class and the dimensions it flips; `class_dims(k)`
-/// is `Dim(α, k)` as a mask. The flips are replayed in ascending order,
-/// and the stats count the one crossing per tree edge the slow path counts
-/// on a fault-free plan.
-fn replay_if_clear(
+/// is `Dim(α, k)` as a mask.
+fn region_clear(
     faults: &FaultSet,
     s: NodeId,
-    hops: usize,
-    steps: impl Iterator<Item = (Option<u32>, u64, u64)> + Clone,
+    steps: impl Iterator<Item = (Option<u32>, u64, u64)>,
     class_dims: impl Fn(u64) -> u64,
-) -> Option<(Route, FtgcrStats)> {
+) -> bool {
     let mut cur = s;
-    for (cross, k, flips) in steps.clone() {
+    for (cross, k, flips) in steps {
         if let Some(c0) = cross {
             cur = cur.flip(c0);
         }
         let free = if flips != 0 { class_dims(k) } else { 0 };
         if region_has_fault(faults, cur, free) {
-            return None;
+            return false;
         }
         cur = NodeId(cur.0 ^ flips);
     }
+    true
+}
+
+/// Replay a default schedule from `s`, its flips in ascending order. The
+/// stats count the one crossing per tree edge the slow path counts on a
+/// fault-free plan.
+fn replay(
+    s: NodeId,
+    hops: usize,
+    steps: impl Iterator<Item = (Option<u32>, u64, u64)>,
+) -> (Route, FtgcrStats) {
     let mut stats = FtgcrStats::default();
     let mut nodes = Vec::with_capacity(hops + 1);
     let mut cur = s;
@@ -489,7 +544,7 @@ fn replay_if_clear(
             nodes.push(cur);
         }
     }
-    Some((Route::new(nodes), stats))
+    (Route::new(nodes), stats)
 }
 
 /// Whether a faulty node, or an endpoint of a faulty link, lies in the
@@ -822,8 +877,16 @@ mod tests {
     }
 
     /// `route` and `route_cached` both return exactly what the slow path
-    /// returns: nodes, stats and errors.
-    fn assert_matches_slow(gc: &GaussianCube, f: &FaultSet, s: NodeId, d: NodeId, c: &PlanCache) {
+    /// returns: nodes, stats and errors, and so does `plan_cached`, as
+    /// nodes or the same error. Returns whether `plan_cached` answered in
+    /// walk form.
+    fn assert_matches_slow(
+        gc: &GaussianCube,
+        f: &FaultSet,
+        s: NodeId,
+        d: NodeId,
+        c: &PlanCache,
+    ) -> bool {
         let slow = slow_route(gc, f, s, d);
         let ctx = || {
             format!(
@@ -842,6 +905,14 @@ mod tests {
                 (a, b) => panic!("{}: slow {a:?}, fast {b:?}", ctx()),
             }
         }
+        let planned = plan_cached(gc, f, s, d, c);
+        let walk = matches!(planned, Ok(Trajectory::Walk(_)));
+        match (&slow, planned.map(|t| t.into_route(gc))) {
+            (Ok((r1, _)), Ok(r2)) => assert_eq!(r1.nodes(), r2.nodes(), "{}", ctx()),
+            (Err(e1), Err(e2)) => assert_eq!(*e1, e2, "{}", ctx()),
+            (a, b) => panic!("{}: slow {a:?}, planned {b:?}", ctx()),
+        }
+        walk
     }
 
     #[test]
@@ -850,7 +921,7 @@ mod tests {
         // faults, each with even odds placed within two bit flips of a
         // node of the FFGCR route or anywhere in the cube.
         let mut rng = Rng(0x5eed_fa57_1234_abcd);
-        let (mut fast, mut slow) = (0, 0);
+        let (mut fast, mut slow, mut walks) = (0, 0, 0);
         for _shape in 0..100 {
             let alpha = 1 + (rng.next() % 4) as u32;
             let n = alpha + 1 + (rng.next() % u64::from(12 - alpha)) as u32;
@@ -876,17 +947,24 @@ mod tests {
                         f.add_link(LinkId::new(v, ds[(rng.next() % ds.len() as u64) as usize]));
                     }
                 }
-                assert_matches_slow(&gc, &f, s, d, &cache);
+                let walk = assert_matches_slow(&gc, &f, s, d, &cache);
                 if check_endpoints(&gc, &f, s, d).is_ok() {
-                    if guard_passes(&gc, &f, s, d) {
+                    let passes = guard_passes(&gc, &f, s, d);
+                    // The walk form is exactly the fast path at α ≤ 3.
+                    assert_eq!(walk, passes && alpha <= 3, "GC({n}) {s} -> {d} with {f:?}");
+                    walks += u32::from(walk);
+                    if passes {
                         fast += 1;
                     } else {
                         slow += 1;
                     }
+                } else {
+                    assert!(!walk);
                 }
             }
         }
         assert!(fast >= 1000 && slow >= 1000, "fast {fast}, slow {slow}");
+        assert!(walks >= 500, "walk-form answers: {walks}");
     }
 
     #[test]

@@ -59,5 +59,7 @@ pub mod verify;
 pub use collective::{BroadcastTree, RepairOutcome};
 pub use faults::{fault_budget, FaultBudget, FaultCategory, FaultSet, HealthState, SubcubeLoad};
 pub use multitree::{MultiTreeAtlas, MultiTreeError, TreeChoice, TreeHealth};
-pub use plan_cache::{CacheStats, CachedWalk, PlanCache, TreeCacheStats, TreeSnapshot};
-pub use route::{Route, RoutingError};
+pub use plan_cache::{
+    CacheStats, CachedWalk, PlanCache, TreeCacheStats, TreeSnapshot, WalkRoute, WalkRule,
+};
+pub use route::{Route, RoutingError, Trajectory};

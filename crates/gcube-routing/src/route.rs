@@ -1,4 +1,5 @@
-//! The [`Route`] type and routing errors.
+//! The [`Route`] type, the [`Trajectory`] a planner hands the simulator,
+//! and routing errors.
 //!
 //! A route is the full node sequence a packet traverses, source and
 //! destination inclusive. Routes produced by the paper's algorithms are
@@ -7,7 +8,51 @@
 
 use std::fmt;
 
-use gcube_topology::{LinkId, LinkMask, NodeId, Topology};
+use gcube_topology::{GaussianCube, LinkId, LinkMask, NodeId, Topology};
+
+use crate::plan_cache::{WalkRoute, WalkRule};
+
+/// A planned trajectory: an explicit node sequence, or an FFGCR shortest
+/// path in walk form, which the simulator forwards hop by hop with
+/// [`WalkRule`] and never materialises.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Trajectory {
+    /// Every node, source first.
+    Route(Route),
+    /// A cached FFGCR route at α ≤ 3.
+    Walk(WalkRoute),
+}
+
+impl Trajectory {
+    /// Links on the trajectory.
+    #[inline]
+    pub fn hops(&self) -> usize {
+        match self {
+            Trajectory::Route(r) => r.hops(),
+            Trajectory::Walk(w) => w.hops(),
+        }
+    }
+
+    /// The node where the trajectory ends.
+    #[inline]
+    pub fn dest(&self) -> NodeId {
+        match self {
+            Trajectory::Route(r) => r.dest(),
+            Trajectory::Walk(w) => w.dest(),
+        }
+    }
+
+    /// The explicit route, walking a walk-form trajectory on `gc`.
+    pub fn into_route(self, gc: &GaussianCube) -> Route {
+        match self {
+            Trajectory::Route(r) => r,
+            Trajectory::Walk(w) => {
+                let rule = WalkRule::new(gc.n(), gc.alpha()).expect("walks exist only at α ≤ 3");
+                Route::new(rule.nodes(&w))
+            }
+        }
+    }
+}
 
 /// A packet's full node trajectory, endpoints inclusive.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -12,7 +12,7 @@ use gcube_routing::faults::{link_category, node_category, FaultCategory, FaultSe
 use gcube_routing::multitree::{validate_independence, MultiTreeAtlas, MultiTreeError};
 use gcube_routing::pc::pc_path;
 use gcube_routing::verify::{assign_virtual_channels, ChannelDependencyGraph};
-use gcube_routing::{ffgcr, ftgcr, PlanCache, Route, RoutingError};
+use gcube_routing::{ffgcr, ftgcr, PlanCache, Route, RoutingError, Trajectory, WalkRule};
 use gcube_topology::{
     search, GaussianCube, GaussianTree, LinkId, LinkMask, NoFaults, NodeId, Topology,
 };
@@ -269,6 +269,47 @@ proptest! {
         // And again, so the second call is served from the cache.
         let hit = ffgcr::route_cached(&gc, NodeId(s), NodeId(d), &cache).unwrap();
         prop_assert_eq!(plain.nodes(), hit.nodes());
+    }
+
+    /// The walk form the simulator forwards: on random shapes up to
+    /// `n = 32`, a cached FFGCR plan at α ≤ 3 is a walk whose hops, taken
+    /// one at a time by the walk rule, are `PlanCache::route`'s and
+    /// `ffgcr::route`'s node for node. Wider spines plan explicit routes.
+    #[test]
+    fn walk_form_hops_equal_ffgcr((gc, pairs) in (1u32..=32).prop_flat_map(|n| {
+        (Just(n), 0u32..=5.min(n))
+    }).prop_flat_map(|(n, a)| {
+        let gc = GaussianCube::from_alpha(n, a).unwrap();
+        let nodes = gc.num_nodes();
+        (Just(gc), proptest::collection::vec((0..nodes, 0..nodes), 8))
+    })) {
+        let cache = PlanCache::new(&gc);
+        let rule = WalkRule::new(gc.n(), gc.alpha());
+        for (s, d) in pairs {
+            let (s, d) = (NodeId(s), NodeId(d));
+            let plain = ffgcr::route(&gc, s, d).unwrap();
+            prop_assert_eq!(cache.route(&gc, s, d).unwrap().nodes(), plain.nodes());
+            match cache.plan(&gc, s, d).unwrap() {
+                Trajectory::Walk(w) => {
+                    let rule = rule.expect("walks only at α ≤ 3");
+                    prop_assert_eq!((w.source(), w.dest(), w.hops()), (s, d, plain.hops()));
+                    let (mut cur, mut edges) = (s, w.edges());
+                    let mut hops = vec![cur];
+                    while let Some(next) = rule.next_hop(cur, d, edges) {
+                        prop_assert!(hops.len() <= plain.hops(), "walk overruns at {:?}", hops);
+                        edges = rule.edges_after(cur, next, edges);
+                        cur = next;
+                        hops.push(cur);
+                    }
+                    prop_assert_eq!(&hops[..], plain.nodes());
+                    prop_assert_eq!(rule.nodes(&w), hops);
+                }
+                Trajectory::Route(r) => {
+                    prop_assert!(gc.alpha() > 3, "α ≤ 3 plans take the walk form");
+                    prop_assert_eq!(r.nodes(), plain.nodes());
+                }
+            }
+        }
     }
 
     /// ISSUE acceptance: plan-cached FTGCR matches the uncached strategy

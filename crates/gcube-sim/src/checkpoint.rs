@@ -42,7 +42,9 @@
 
 use std::collections::BTreeMap;
 
-use gcube_routing::{BroadcastTree, FaultSet, HealthState, RepairOutcome, Route, TreeSnapshot};
+use gcube_routing::{
+    BroadcastTree, FaultSet, HealthState, RepairOutcome, Route, Trajectory, TreeSnapshot,
+};
 use gcube_topology::{GaussianCube, LinkId, NodeId, Topology};
 
 use crate::artifact::{ArtifactKind, ArtifactMeta, ARTIFACT_FORMAT};
@@ -77,6 +79,15 @@ macro_rules! with_metric_fields {
             tree_regrafts, tree_rebuilds, tree_lost_nodes
         )
     };
+}
+
+/// A captured packet's route: capture writes every path as its node
+/// sequence and parsing reads one, so a checkpoint holds no walk.
+fn route_of(p: &Packet) -> &Route {
+    match &p.path {
+        Trajectory::Route(r) => r,
+        Trajectory::Walk(_) => unreachable!("checkpoints hold explicit routes"),
+    }
 }
 
 // --- small JSON helpers -------------------------------------------------
@@ -327,7 +338,9 @@ impl Checkpoint {
         })?;
 
         // Every queued packet, node by node and front to back, in dense
-        // slots (see the module docs).
+        // slots (see the module docs). A walk-form packet is written as
+        // its node sequence, replayed from where it was planned, so the
+        // text is the same whichever form the planner chose.
         let shards: Vec<_> = core.shards().collect();
         let mut live = Vec::with_capacity(core.in_flight as usize);
         let mut queues = Vec::new();
@@ -338,7 +351,8 @@ impl Checkpoint {
             };
             let first = live.len() as u32;
             loop {
-                live.push((live.len() as u32, owner.store.snapshot(s)));
+                let pkt = owner.store.snapshot(s).into_explicit(owner.store.rule());
+                live.push((live.len() as u32, pkt));
                 match owner.store.next[s as usize] {
                     NIL => break,
                     nxt => s = nxt,
@@ -565,7 +579,7 @@ impl Checkpoint {
                     p.hops_taken,
                     p.planned_hops,
                     p.reroutes,
-                    u64_arr(p.route.nodes().iter().map(|v| v.0)),
+                    u64_arr(route_of(p).nodes().iter().map(|v| v.0)),
                 )
             })
             .collect();
@@ -774,11 +788,16 @@ impl Checkpoint {
                 return Err("a route holds at least its source".into());
             }
             let col = |v: &JsonValue| Ok::<_, String>(u64::from(to_u32(elem_u64(v)?)?));
+            let hop_idx = col(hop_idx)? as usize;
+            // `validate` refuses a hop index past the route's end.
+            let cur = NodeId(route[hop_idx.min(route.len() - 1)]);
             let packet = Packet {
                 id: elem_u64(id)?,
                 injected_at: elem_u64(injected_at)?,
-                hop_idx: col(hop_idx)? as usize,
-                route: Route::new(route.into_iter().map(NodeId).collect()),
+                hop_idx,
+                path: Trajectory::Route(Route::new(route.into_iter().map(NodeId).collect())),
+                cur,
+                edges: 0,
                 hops_taken: col(hops_taken)?,
                 planned_hops: col(planned_hops)?,
                 reroutes: to_u32(elem_u64(reroutes)?)?,
@@ -922,7 +941,7 @@ impl Checkpoint {
         };
         for (i, &(slot, ref p)) in self.live.iter().enumerate() {
             list(slot, i)?;
-            let route = p.route.nodes();
+            let route = route_of(p).nodes();
             if p.hop_idx >= route.len() {
                 return Err(format!(
                     "packet in slot {slot} is at hop {} of a {}-node route",
@@ -1286,9 +1305,9 @@ mod tests {
 
     /// Append `v` to the first live packet's route.
     fn extend_route(c: &mut Checkpoint, v: NodeId) {
-        let mut nodes = c.live[0].1.route.nodes().to_vec();
+        let mut nodes = route_of(&c.live[0].1).nodes().to_vec();
         nodes.push(v);
-        c.live[0].1.route = Route::new(nodes);
+        c.live[0].1.path = Trajectory::Route(Route::new(nodes));
     }
 
     /// Every other inconsistency `rebuild` would index with is refused
@@ -1312,7 +1331,7 @@ mod tests {
                 c.queues[0].1.push(s);
             }),
             ("hop", |c| {
-                c.live[0].1.hop_idx = c.live[0].1.route.nodes().len()
+                c.live[0].1.hop_idx = route_of(&c.live[0].1).nodes().len()
             }),
             ("queued at node", |c| c.queues[0].0 ^= 1),
             ("node 64 outside", |c| extend_route(c, NodeId(64))),

@@ -97,7 +97,7 @@ use std::time::Instant;
 
 use gcube_routing::faults::fault_budget;
 use gcube_routing::plan_cache::PlanCache;
-use gcube_routing::{FaultSet, Route};
+use gcube_routing::{FaultSet, Trajectory, WalkRule};
 use gcube_topology::{LinkId, NodeId, Topology};
 
 use crate::collective::{is_collective, CollectivePlanner, LaunchPlan, OpTracker, RepairLedger};
@@ -284,7 +284,7 @@ enum ViewOp {
 /// The coordinator's ruling on one blocked head. Drops are fully
 /// accounted by the coordinator; the owner only mutates its queue.
 enum Verdict {
-    Replan(Route),
+    Replan(Trajectory),
     Drop,
 }
 
@@ -496,7 +496,9 @@ impl Shard {
         let truth = sim.faults.clone();
         let view = sim.faults.clone();
         let synced = (truth.generation(), view.generation());
-        let queues = NodeQueues::new(n_nodes);
+        // Finite buffers alone read per-node queue lengths.
+        let queues = NodeQueues::new(n_nodes, cfg.buffer_capacity.is_some());
+        let rule = WalkRule::new(sim.gc.n(), sim.gc.alpha()).unwrap_or_default();
         let injector = FaultInjector::new(&sim.gc, cfg.schedule.clone(), cfg.seed);
         Shard {
             me,
@@ -504,7 +506,7 @@ impl Shard {
             class_range: ranges[me],
             cmask,
             n_nodes,
-            store: PacketStore::new(),
+            store: PacketStore::new(rule),
             queues,
             class_queued: vec![0; cmask + 1],
             class_occupied: vec![0; cmask + 1],
@@ -721,7 +723,9 @@ impl Shard {
                 pkt.src,
                 kind,
             );
-            let slot = self.store.alloc(pkt.id, cycle, pkt.route);
+            let slot = self
+                .store
+                .alloc(pkt.id, cycle, Trajectory::Route(pkt.route));
             self.enqueue(vu, slot);
         }
         Some(Some(plan))
@@ -741,7 +745,7 @@ impl Shard {
         };
         let src = NodeId(req.src);
         let key = |seq| ekey(SUB_INJECT, req.src, seq);
-        let planned_hops = planned.route.hops() as u64;
+        let planned_hops = planned.path.hops() as u64;
         self.metrics.injected_total += 1;
         if self.telemetry_on {
             self.delta.injected += 1;
@@ -777,7 +781,7 @@ impl Shard {
             };
             self.trace(key(2), cycle, req.id, src, kind);
         } else {
-            let slot = self.store.alloc(req.id, cycle, planned.route);
+            let slot = self.store.alloc(req.id, cycle, planned.path);
             self.enqueue(req.src as usize, slot);
         }
     }
@@ -947,10 +951,8 @@ impl Shard {
                 // buffer must have room. Arrivals granted this cycle count
                 // against the room; departures free their slot next cycle
                 // — conservative store-and-forward.
-                let sinks = self.store.hop_idx[head as usize] as usize + 2
-                    == self.store.route(head).nodes().len();
                 let t = to.0 as usize;
-                if !sinks {
+                if !self.store.sinks_at(head, to) {
                     if self.queues.len(t) + self.arriving[t] as usize >= cap {
                         continue; // backpressure: wait for room
                     }
@@ -970,7 +972,12 @@ impl Shard {
                 self.cycle_hops += 1;
             }
             let slot = self.pop_head(v);
-            self.store.advance(slot);
+            self.store.advance(slot, to);
+            if self.tracing_on {
+                let key = ekey(SUB_MOVE, u64::from(svc), 0);
+                let id = self.store.id[slot as usize];
+                self.trace(key, cycle, id, to, TraceEventKind::Hop { from });
+            }
             self.moves.push((svc, slot));
         }
         self.scan_buf = buf;
@@ -980,27 +987,15 @@ impl Shard {
         self.arrival_nodes.clear();
     }
 
-    /// Phase 5, sender side: narrate every hop and account the packets
-    /// that arrived at their destination. The rest stay arena slots: the
-    /// one-shard schedule pushes them at once, in scan order; with peers,
-    /// the moves staying in this shard are kept for the arrival merge and
-    /// the others are materialised per receiving shard.
+    /// Phase 5, sender side: account the packets that arrived at their
+    /// destination (the scan already narrated every hop). The rest stay
+    /// arena slots: the one-shard schedule pushes them at once, in scan
+    /// order; with peers, the moves staying in this shard are kept for the
+    /// arrival merge and the others are materialised per receiving shard.
     fn drain_moves(&mut self, cycle: u64) {
         let measuring = cycle >= self.warmup;
         let solo = self.out_moves.len() == 1;
         let mut moves = mem::take(&mut self.moves);
-        if self.tracing_on {
-            for &(svc, slot) in &moves {
-                // hop_idx was already advanced: the previous node is one
-                // step back on the current trajectory.
-                let nodes = self.store.route(slot).nodes();
-                let hop = self.store.hop_idx[slot as usize] as usize;
-                let (from, cur) = (nodes[hop - 1], nodes[hop]);
-                let id = self.store.id[slot as usize];
-                let key = ekey(SUB_MOVE, u64::from(svc), 0);
-                self.trace(key, cycle, id, cur, TraceEventKind::Hop { from });
-            }
-        }
         let mut kept = 0;
         for i in 0..moves.len() {
             let (svc, slot) = moves[i];
@@ -1023,7 +1018,7 @@ impl Shard {
                 moves[kept] = (svc, slot);
                 kept += 1;
             } else {
-                // Materialising moves the route (a pointer), not a clone.
+                // Materialising moves the path (a few words), not a clone.
                 let pkt = self.store.remove(slot);
                 self.out_moves[dest].push((svc, pkt));
             }
@@ -1083,7 +1078,9 @@ impl Shard {
     ) -> (ViewOp, Verdict) {
         let key = |seq| ekey(SUB_SCAN, u64::from(svc), seq);
         let from = pkt.current();
-        let to = pkt.next_hop().expect("blocked heads have a next hop");
+        let to = pkt
+            .next_hop(self.store.rule())
+            .expect("blocked heads have a next hop");
         let op = if self.truth.is_node_faulty(to) {
             ViewOp::Node(to)
         } else {
@@ -1125,7 +1122,7 @@ impl Shard {
                     if let Some(tc) = planned.tree {
                         self.account_tree_choice(cycle, key(2), pkt.id, from, tc);
                     }
-                    return (op, Verdict::Replan(planned.route));
+                    return (op, Verdict::Replan(planned.path));
                 }
                 Err(_) => DropCause::Unrecoverable,
             }
@@ -1148,9 +1145,9 @@ impl Shard {
     /// Apply a recovery verdict to node `v`'s head (already accounted).
     fn apply_verdict(&mut self, v: usize, verdict: Verdict) {
         match verdict {
-            Verdict::Replan(route) => {
+            Verdict::Replan(path) => {
                 let head = self.queues.front(v).expect("blocked queue is non-empty");
-                self.store.replan(head, route);
+                self.store.replan(head, path);
             }
             Verdict::Drop => {
                 let slot = self.pop_head(v);
@@ -1926,7 +1923,7 @@ mod tests {
         use std::sync::mpsc;
         use std::time::Duration;
 
-        use gcube_routing::{FaultSet, RoutingError};
+        use gcube_routing::{FaultSet, Route, RoutingError};
         use gcube_topology::GaussianCube;
 
         use crate::strategy::RoutingAlgorithm;
@@ -2000,8 +1997,10 @@ mod tests {
         let mut shard = Shard::new(&sim, 0, 1, None);
         let dest = 4u64; // even node, class 0
         let mk = |id: u64| {
-            let mut p = Packet::new(id, 0, Route::new(vec![NodeId(6), NodeId(dest)]));
-            p.hop_idx = 1; // sitting at the destination of its hop
+            let route = Route::new(vec![NodeId(6), NodeId(dest)]);
+            let mut p = Packet::new(id, 0, Trajectory::Route(route));
+            // Sitting at the destination of its hop.
+            p.advance(&WalkRule::default(), NodeId(dest));
             p
         };
         // Same service index from "different shards", ids out of order,

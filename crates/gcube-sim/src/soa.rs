@@ -10,16 +10,23 @@
 //!
 //! * [`PacketStore`] — an arena of packets in struct-of-arrays form. Every
 //!   scalar field lives in its own contiguous `Vec`, indexed by a stable
-//!   slot id; freed slots are recycled through a freelist. Routes stay as
-//!   planner-produced [`Route`]s in a parallel column (the planner already
-//!   allocates them; the arena only moves them). An intrusive `next` column
-//!   threads the per-node FIFO order through the arena, so a queue is just
-//!   a `(head, tail)` pair of slot ids.
-//! * [`NodeQueues`] — the per-node FIFO heads/tails/lengths plus an
-//!   occupancy bitset over the nodes. The service scan walks the bitset
-//!   with word operations (one `u64` covers 64 nodes) in the engine's
-//!   rotated service order, so a cycle's forwarding cost is proportional
-//!   to the nodes that actually hold packets, not to the network size.
+//!   slot id; freed slots are recycled through a freelist. A `cur` column
+//!   holds every packet's node, so `current` never reads a trajectory.
+//!   The trajectories sit in a parallel column: a cached FFGCR plan (and
+//!   cached FTGCR's fast path) at α ≤ 3 is a [`Trajectory::Walk`] of a few
+//!   words, forwarded by the cube's [`WalkRule`] from `cur`, the
+//!   destination and an `edges` column of uncrossed tree edges, so it
+//!   allocates nothing; every other plan is an explicit
+//!   [`Route`](gcube_routing::Route) the planner allocated, which the
+//!   arena only moves. An intrusive `next` column threads the per-node
+//!   FIFO order through the arena, so a queue is just a `(head, tail)`
+//!   pair of slot ids.
+//! * [`NodeQueues`] — the per-node FIFO heads and tails plus an occupancy
+//!   bitset over the nodes (and per-node lengths, for finite buffers
+//!   only). The service scan walks the bitset with word operations (one
+//!   `u64` covers 64 nodes) in the engine's rotated service order, so a
+//!   cycle's forwarding cost is proportional to the nodes that actually
+//!   hold packets, not to the network size.
 //!
 //! Fault state has one store, the [`FaultSet`](gcube_routing::FaultSet):
 //! the forwarding check, stranding and the injection scan probe the
@@ -29,10 +36,10 @@
 //! types; reports, traces, and telemetry are bit-identical for every
 //! shard count (the pinned digests and the session proptests check this).
 
-use gcube_routing::Route;
+use gcube_routing::{Trajectory, WalkRule};
 use gcube_topology::NodeId;
 
-use crate::packet::Packet;
+use crate::packet::{self, Packet};
 
 /// Null slot id / list terminator for the intrusive queue links.
 pub(crate) const NIL: u32 = u32::MAX;
@@ -46,52 +53,70 @@ pub(crate) struct PacketStore {
     pub hops_taken: Vec<u32>,
     pub planned_hops: Vec<u32>,
     pub reroutes: Vec<u32>,
-    /// `None` marks a free slot; `Option<Route>` is pointer-niche packed,
-    /// so the column costs nothing over `Route` itself.
-    routes: Vec<Option<Route>>,
+    /// The node holding each packet, in either trajectory form.
+    cur: Vec<NodeId>,
+    /// Walk form: the tree edges not yet crossed ([`Packet::edges`]).
+    edges: Vec<u64>,
+    /// `None` marks a free slot.
+    paths: Vec<Option<Trajectory>>,
     /// Intrusive FIFO link: the slot queued behind this one, or [`NIL`].
     pub next: Vec<u32>,
     free: Vec<u32>,
+    /// The cube's walk rule; the default when α > 3, where no walk-form
+    /// path is ever planned.
+    rule: WalkRule,
 }
 
 impl PacketStore {
-    pub fn new() -> PacketStore {
-        PacketStore::default()
+    pub fn new(rule: WalkRule) -> PacketStore {
+        PacketStore {
+            rule,
+            ..PacketStore::default()
+        }
+    }
+
+    /// The rule walk-form packets are forwarded by.
+    #[inline]
+    pub fn rule(&self) -> &WalkRule {
+        &self.rule
     }
 
     /// Slots currently live (for conservation checks in tests).
     #[cfg(test)]
     pub fn live(&self) -> usize {
-        self.routes.iter().flatten().count()
+        self.paths.iter().flatten().count()
     }
 
     fn grab_slot(&mut self) -> u32 {
         if let Some(s) = self.free.pop() {
             return s;
         }
-        let s = self.routes.len() as u32;
+        let s = self.paths.len() as u32;
         self.id.push(0);
         self.injected_at.push(0);
         self.hop_idx.push(0);
         self.hops_taken.push(0);
         self.planned_hops.push(0);
         self.reroutes.push(0);
-        self.routes.push(None);
+        self.cur.push(NodeId(0));
+        self.edges.push(0);
+        self.paths.push(None);
         self.next.push(NIL);
         s
     }
 
-    /// Store a freshly injected packet at the start of `route`.
-    pub fn alloc(&mut self, id: u64, injected_at: u64, route: Route) -> u32 {
+    /// Store a freshly injected packet at the start of `path`.
+    pub fn alloc(&mut self, id: u64, injected_at: u64, path: Trajectory) -> u32 {
         let s = self.grab_slot();
         let su = s as usize;
         self.id[su] = id;
         self.injected_at[su] = injected_at;
         self.hop_idx[su] = 0;
         self.hops_taken[su] = 0;
-        self.planned_hops[su] = route.hops() as u32;
+        self.planned_hops[su] = path.hops() as u32;
         self.reroutes[su] = 0;
-        self.routes[su] = Some(route);
+        (self.cur[su], self.edges[su]) = packet::start(&path);
+        self.paths[su] = Some(path);
         self.next[su] = NIL;
         s
     }
@@ -107,47 +132,46 @@ impl PacketStore {
         self.hops_taken[su] = pkt.hops_taken as u32;
         self.planned_hops[su] = pkt.planned_hops as u32;
         self.reroutes[su] = pkt.reroutes;
-        self.routes[su] = Some(pkt.route);
+        self.cur[su] = pkt.cur;
+        self.edges[su] = pkt.edges;
+        self.paths[su] = Some(pkt.path);
         self.next[su] = NIL;
         s
     }
 
-    /// Materialise the slot as a [`Packet`] (moving the route out) and
+    /// Materialise the slot as a [`Packet`] (moving the path out) and
     /// recycle it. Used for drops — which need the full packet for
     /// accounting — and for cross-shard moves.
     pub fn remove(&mut self, slot: u32) -> Packet {
         let su = slot as usize;
-        let route = self.routes[su].take().expect("slot is live");
+        let path = self.paths[su].take().expect("slot is live");
         self.free.push(slot);
-        Packet {
-            id: self.id[su],
-            injected_at: self.injected_at[su],
-            hop_idx: self.hop_idx[su] as usize,
-            route,
-            hops_taken: u64::from(self.hops_taken[su]),
-            planned_hops: u64::from(self.planned_hops[su]),
-            reroutes: self.reroutes[su],
-        }
+        self.packet(su, path)
     }
 
     /// Recycle the slot without materialising it (deliveries: the
     /// accounting only needs the scalar columns, read before the call).
     pub fn discard(&mut self, slot: u32) {
         let su = slot as usize;
-        debug_assert!(self.routes[su].is_some(), "double free");
-        self.routes[su] = None;
+        debug_assert!(self.paths[su].is_some(), "double free");
+        self.paths[su] = None;
         self.free.push(slot);
     }
 
     /// Clone the slot as a [`Packet`] (recovery candidates shipped to the
-    /// coordinator while the queue stays untouched).
+    /// coordinator while the queue stays untouched, checkpoint capture).
     pub fn snapshot(&self, slot: u32) -> Packet {
-        let su = slot as usize;
+        self.packet(slot as usize, self.path(slot).clone())
+    }
+
+    fn packet(&self, su: usize, path: Trajectory) -> Packet {
         Packet {
             id: self.id[su],
             injected_at: self.injected_at[su],
             hop_idx: self.hop_idx[su] as usize,
-            route: self.route(slot).clone(),
+            path,
+            cur: self.cur[su],
+            edges: self.edges[su],
             hops_taken: u64::from(self.hops_taken[su]),
             planned_hops: u64::from(self.planned_hops[su]),
             reroutes: self.reroutes[su],
@@ -155,43 +179,60 @@ impl PacketStore {
     }
 
     #[inline]
-    pub fn route(&self, slot: u32) -> &Route {
-        self.routes[slot as usize].as_ref().expect("slot is live")
+    fn path(&self, slot: u32) -> &Trajectory {
+        self.paths[slot as usize].as_ref().expect("slot is live")
     }
 
     /// The node currently buffering the packet.
     #[inline]
     pub fn current(&self, slot: u32) -> NodeId {
-        self.route(slot).nodes()[self.hop_idx[slot as usize] as usize]
+        self.cur[slot as usize]
     }
 
     /// The next node on the trajectory, or `None` at the destination.
     #[inline]
     pub fn next_hop(&self, slot: u32) -> Option<NodeId> {
-        self.route(slot)
-            .nodes()
-            .get(self.hop_idx[slot as usize] as usize + 1)
-            .copied()
+        let su = slot as usize;
+        match self.path(slot) {
+            Trajectory::Walk(w) => self.rule.next_hop(self.cur[su], w.dest(), self.edges[su]),
+            Trajectory::Route(r) => r.nodes().get(self.hop_idx[su] as usize + 1).copied(),
+        }
+    }
+
+    /// Whether the hop to `to` (the slot's next hop) ends the trajectory.
+    #[inline]
+    pub fn sinks_at(&self, slot: u32, to: NodeId) -> bool {
+        match self.path(slot) {
+            Trajectory::Walk(w) => to == w.dest(),
+            Trajectory::Route(r) => self.hop_idx[slot as usize] as usize + 2 == r.nodes().len(),
+        }
     }
 
     /// Whether the packet sits at its destination.
     #[inline]
     pub fn arrived(&self, slot: u32) -> bool {
-        self.hop_idx[slot as usize] as usize + 1 == self.route(slot).nodes().len()
+        let su = slot as usize;
+        match self.path(slot) {
+            Trajectory::Walk(w) => self.cur[su] == w.dest(),
+            Trajectory::Route(r) => self.hop_idx[su] as usize + 1 == r.nodes().len(),
+        }
     }
 
-    /// Advance one hop along the route.
+    /// Take the hop to `to`, the slot's next hop.
     #[inline]
-    pub fn advance(&mut self, slot: u32) {
+    pub fn advance(&mut self, slot: u32, to: NodeId) {
         let su = slot as usize;
+        self.edges[su] = self.rule.edges_after(self.cur[su], to, self.edges[su]);
+        self.cur[su] = to;
         self.hop_idx[su] += 1;
         self.hops_taken[su] += 1;
     }
 
     /// Replace the remaining trajectory (mirror of [`Packet::replan`]).
-    pub fn replan(&mut self, slot: u32, route: Route) {
+    pub fn replan(&mut self, slot: u32, path: Trajectory) {
         let su = slot as usize;
-        self.routes[su] = Some(route);
+        (self.cur[su], self.edges[su]) = packet::start(&path);
+        self.paths[su] = Some(path);
         self.hop_idx[su] = 0;
         self.reroutes[su] += 1;
     }
@@ -205,28 +246,35 @@ impl PacketStore {
 }
 
 /// Per-node FIFO queues threaded through a [`PacketStore`], plus the
-/// occupancy bitset the service scan walks.
+/// occupancy bitset the service scan walks. Per-node lengths are kept
+/// only when asked for: finite buffers read them, nothing else does.
 #[derive(Debug)]
 pub(crate) struct NodeQueues {
     head: Vec<u32>,
     tail: Vec<u32>,
+    /// Queue lengths per node, or empty when not counted.
     len: Vec<u32>,
     occ: Vec<u64>,
     n: usize,
 }
 
 impl NodeQueues {
-    pub fn new(n_nodes: u64) -> NodeQueues {
+    pub fn new(n_nodes: u64, count_lengths: bool) -> NodeQueues {
         let n = n_nodes as usize;
         NodeQueues {
             head: vec![NIL; n],
             tail: vec![NIL; n],
-            len: vec![0; n],
+            len: if count_lengths {
+                vec![0; n]
+            } else {
+                Vec::new()
+            },
             occ: vec![0; n.div_ceil(64)],
             n,
         }
     }
 
+    /// Node `v`'s queue length; the queues must count lengths.
     #[inline]
     pub fn len(&self, v: usize) -> usize {
         self.len[v] as usize
@@ -234,7 +282,7 @@ impl NodeQueues {
 
     #[inline]
     pub fn is_empty(&self, v: usize) -> bool {
-        self.len[v] == 0
+        self.head[v] == NIL
     }
 
     /// Head slot of node `v`'s queue, if any.
@@ -256,7 +304,9 @@ impl NodeQueues {
             t => store.next[t as usize] = slot,
         }
         self.tail[v] = slot;
-        self.len[v] += 1;
+        if let Some(l) = self.len.get_mut(v) {
+            *l += 1;
+        }
     }
 
     /// Pop the head of a non-empty queue; returns its slot.
@@ -269,7 +319,9 @@ impl NodeQueues {
             self.tail[v] = NIL;
             self.occ[v / 64] &= !(1u64 << (v % 64));
         }
-        self.len[v] -= 1;
+        if let Some(l) = self.len.get_mut(v) {
+            *l -= 1;
+        }
         s
     }
 
@@ -316,19 +368,22 @@ impl NodeQueues {
 mod tests {
     use super::*;
 
-    fn route(nodes: &[u64]) -> Route {
-        Route::new(nodes.iter().map(|&v| NodeId(v)).collect())
+    use gcube_routing::Route;
+
+    fn route(nodes: &[u64]) -> Trajectory {
+        Trajectory::Route(Route::new(nodes.iter().map(|&v| NodeId(v)).collect()))
     }
 
     #[test]
     fn arena_roundtrip_preserves_packets() {
-        let mut store = PacketStore::new();
+        let mut store = PacketStore::default();
         let s = store.alloc(7, 3, route(&[0, 1, 3]));
         assert_eq!(store.current(s), NodeId(0));
         assert_eq!(store.next_hop(s), Some(NodeId(1)));
-        assert!(!store.arrived(s));
-        store.advance(s);
-        store.advance(s);
+        assert!(!store.arrived(s) && !store.sinks_at(s, NodeId(1)));
+        store.advance(s, NodeId(1));
+        assert!(store.sinks_at(s, NodeId(3)));
+        store.advance(s, NodeId(3));
         assert!(store.arrived(s));
         let pkt = store.remove(s);
         assert_eq!((pkt.id, pkt.injected_at, pkt.hops_taken), (7, 3, 2));
@@ -344,23 +399,23 @@ mod tests {
 
     #[test]
     fn replan_resets_position_and_counts() {
-        let mut store = PacketStore::new();
+        let mut store = PacketStore::default();
         let s = store.alloc(0, 0, route(&[0, 1, 3]));
-        store.advance(s);
+        store.advance(s, NodeId(1));
         store.replan(s, route(&[1, 5, 7, 3]));
         assert_eq!(store.current(s), NodeId(1));
         assert_eq!(store.reroutes[s as usize], 1);
         assert_eq!(store.hops_taken[s as usize], 1);
-        store.advance(s);
-        store.advance(s);
-        store.advance(s);
+        for v in [5, 7, 3] {
+            store.advance(s, NodeId(v));
+        }
         assert_eq!(store.detour_hops(s), 2, "4 walked vs 2 planned");
     }
 
     #[test]
     fn queues_preserve_fifo_order() {
-        let mut store = PacketStore::new();
-        let mut q = NodeQueues::new(4);
+        let mut store = PacketStore::default();
+        let mut q = NodeQueues::new(4, true);
         for id in 0..5 {
             let s = store.alloc(id, 0, route(&[2, 3]));
             q.push_back(&mut store, 2, s);
@@ -381,8 +436,8 @@ mod tests {
     #[test]
     fn rotated_scan_matches_dense_loop() {
         for n in [1usize, 5, 63, 64, 65, 130, 200] {
-            let mut store = PacketStore::new();
-            let mut q = NodeQueues::new(n as u64);
+            let mut store = PacketStore::default();
+            let mut q = NodeQueues::new(n as u64, false);
             let mut x = 0x9e3779b97f4a7c15u64;
             let mut occupied = vec![false; n];
             for (v, occ) in occupied.iter_mut().enumerate() {

@@ -1,8 +1,10 @@
 //! Routing strategies pluggable into the simulator.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use gcube_routing::{ffgcr, ftgcr, CacheStats, FaultSet, PlanCache, Route, RoutingError};
+use gcube_routing::{
+    ffgcr, ftgcr, CacheStats, FaultSet, PlanCache, Route, RoutingError, Trajectory,
+};
 use gcube_topology::{GaussianCube, NodeId};
 use parking_lot::RwLock;
 
@@ -15,8 +17,9 @@ pub use gcube_routing::multitree::{MultiTreeAtlas, TreeChoice, TreeHealth};
 /// leaves those untouched.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PlannedRoute {
-    /// The packet trajectory.
-    pub route: Route,
+    /// The packet trajectory: an explicit route, or (cached FFGCR, and
+    /// cached FTGCR's fast path, at α ≤ 3) an FFGCR route in walk form.
+    pub path: Trajectory,
     /// Tree bookkeeping, when the strategy routes over a tree bundle.
     pub tree: Option<TreeChoice>,
 }
@@ -60,13 +63,17 @@ pub trait RoutingAlgorithm: Sync {
         d: NodeId,
     ) -> Result<PlannedRoute, RoutingError> {
         self.compute_route(gc, faults, s, d)
-            .map(|route| PlannedRoute { route, tree: None })
+            .map(|route| PlannedRoute {
+                path: Trajectory::Route(route),
+                tree: None,
+            })
     }
 
     /// Plan-cache counters, for strategies backed by a
     /// [`PlanCache`] (`None` for uncached strategies, or before first
-    /// use). Not free — snapshotting takes the cache's entry lock — so
-    /// callers poll it at sample boundaries, not per packet.
+    /// use). Not free — the counters are shared atomics, and at α > 3
+    /// snapshotting takes the walk map's lock — so callers poll it at
+    /// sample boundaries, not per packet.
     fn cache_stats(&self) -> Option<CacheStats> {
         None
     }
@@ -145,37 +152,44 @@ impl RoutingAlgorithm for FaultTolerantGcr {
     }
 }
 
-/// Lazily builds (and rebuilds on cube change) the [`PlanCache`] shared by
-/// the cached strategies. A read lock covers the hot path so concurrent
-/// sweep workers never serialise on a hit.
+/// Lazily builds the [`PlanCache`] shared by the cached strategies. The
+/// cache of the first cube shape planned on is set once and read with no
+/// lock and no `Arc` clone, so concurrent planners never serialise on
+/// it. Any other shape (a sweep over several cubes) takes a read lock on
+/// a second slot, which is rebuilt whenever that shape changes.
 #[derive(Debug, Default)]
 struct SharedCache {
-    cache: RwLock<Option<Arc<PlanCache>>>,
+    first: OnceLock<PlanCache>,
+    other: RwLock<Option<Arc<PlanCache>>>,
 }
 
 impl SharedCache {
-    fn cache_for(&self, gc: &GaussianCube) -> Arc<PlanCache> {
-        {
-            let guard = self.cache.read();
-            if let Some(c) = guard.as_ref() {
-                if c.matches(gc) {
-                    return Arc::clone(c);
-                }
-            }
+    #[inline]
+    fn with<R>(&self, gc: &GaussianCube, plan: impl FnOnce(&PlanCache) -> R) -> R {
+        let first = self.first.get_or_init(|| PlanCache::new(gc));
+        if first.matches(gc) {
+            return plan(first);
         }
-        let mut guard = self.cache.write();
-        if let Some(c) = guard.as_ref() {
-            if c.matches(gc) {
-                return Arc::clone(c);
-            }
+        plan(&self.other_for(gc))
+    }
+
+    #[cold]
+    fn other_for(&self, gc: &GaussianCube) -> Arc<PlanCache> {
+        if let Some(c) = self.other.read().as_ref().filter(|c| c.matches(gc)) {
+            return Arc::clone(c);
+        }
+        let mut guard = self.other.write();
+        if let Some(c) = guard.as_ref().filter(|c| c.matches(gc)) {
+            return Arc::clone(c);
         }
         let built = Arc::new(PlanCache::new(gc));
         *guard = Some(Arc::clone(&built));
         built
     }
 
+    /// The first shape's counters: the cube a run plans on.
     fn stats(&self) -> Option<CacheStats> {
-        self.cache.read().as_ref().map(|c| c.stats())
+        self.first.get().map(PlanCache::stats)
     }
 }
 
@@ -209,7 +223,17 @@ impl RoutingAlgorithm for CachedFfgcr {
         s: NodeId,
         d: NodeId,
     ) -> Result<Route, RoutingError> {
-        self.shared.cache_for(gc).route(gc, s, d)
+        self.shared.with(gc, |c| c.route(gc, s, d))
+    }
+    fn plan_route(
+        &self,
+        gc: &GaussianCube,
+        _faults: &FaultSet,
+        s: NodeId,
+        d: NodeId,
+    ) -> Result<PlannedRoute, RoutingError> {
+        let path = self.shared.with(gc, |c| c.plan(gc, s, d))?;
+        Ok(PlannedRoute { path, tree: None })
     }
     fn cache_stats(&self) -> Option<CacheStats> {
         self.stats()
@@ -252,8 +276,21 @@ impl RoutingAlgorithm for CachedFtgcr {
         s: NodeId,
         d: NodeId,
     ) -> Result<Route, RoutingError> {
-        let cache = self.shared.cache_for(gc);
-        ftgcr::route_cached(gc, faults, s, d, &cache).map(|(r, _)| r)
+        self.shared
+            .with(gc, |c| ftgcr::route_cached(gc, faults, s, d, c))
+            .map(|(r, _)| r)
+    }
+    fn plan_route(
+        &self,
+        gc: &GaussianCube,
+        faults: &FaultSet,
+        s: NodeId,
+        d: NodeId,
+    ) -> Result<PlannedRoute, RoutingError> {
+        let path = self
+            .shared
+            .with(gc, |c| ftgcr::plan_cached(gc, faults, s, d, c))?;
+        Ok(PlannedRoute { path, tree: None })
     }
     fn cache_stats(&self) -> Option<CacheStats> {
         self.stats()
@@ -393,7 +430,8 @@ impl RoutingAlgorithm for MultiTreeStrategy {
         s: NodeId,
         d: NodeId,
     ) -> Result<Route, RoutingError> {
-        self.plan_route(gc, faults, s, d).map(|p| p.route)
+        self.plan_route(gc, faults, s, d)
+            .map(|p| p.path.into_route(gc))
     }
     fn plan_route(
         &self,
@@ -402,25 +440,24 @@ impl RoutingAlgorithm for MultiTreeStrategy {
         s: NodeId,
         d: NodeId,
     ) -> Result<PlannedRoute, RoutingError> {
-        let cache = self.shared.cache_for(gc);
-        match self.atlas_for(gc) {
-            Some(atlas) => atlas
-                .route(gc, faults, s, d, Some(&cache))
-                .map(|(route, choice)| PlannedRoute {
-                    route,
-                    tree: Some(choice),
-                }),
+        let atlas = self.atlas_for(gc);
+        let (route, tree) = self.shared.with(gc, |cache| match atlas {
+            Some(atlas) => atlas.route(gc, faults, s, d, Some(cache)),
             // Shape without independent trees: pure cached FTGCR, every
             // plan reported as an exhausted bundle of zero trees.
-            None => ftgcr::route_cached(gc, faults, s, d, &cache).map(|(route, _)| PlannedRoute {
-                route,
-                tree: Some(TreeChoice {
+            None => ftgcr::route_cached(gc, faults, s, d, cache).map(|(route, _)| {
+                let exhausted = TreeChoice {
                     tree: 0,
                     switches: 0,
                     exhausted: true,
-                }),
+                };
+                (route, exhausted)
             }),
-        }
+        })?;
+        Ok(PlannedRoute {
+            path: Trajectory::Route(route),
+            tree: Some(tree),
+        })
     }
     fn cache_stats(&self) -> Option<CacheStats> {
         self.shared.stats()
@@ -544,7 +581,7 @@ mod tests {
         for s in (0..64u64).step_by(5) {
             for d in (0..64u64).step_by(7) {
                 let p = strat.plan_route(&gc, &f, NodeId(s), NodeId(d)).unwrap();
-                p.route.validate(&gc, &NoFaults).unwrap();
+                p.path.into_route(&gc).validate(&gc, &NoFaults).unwrap();
                 let tc = p.tree.expect("multitree always reports a tree");
                 assert!(!tc.exhausted);
                 assert_eq!(tc.switches, 0);

@@ -190,12 +190,12 @@ pub fn class_dim_masks(n: u32, alpha: u32) -> Vec<u64> {
 /// valid when `2^α ≤ 64` (`α ≤ 6`) — the plan-cache key regime.
 pub fn required_class_mask(alpha: u32, s: NodeId, d: NodeId) -> u64 {
     debug_assert!(alpha <= 6, "packed class mask requires 2^α ≤ 64");
-    let period = 1u64 << alpha;
-    let mut rest = (s.0 ^ d.0) & !(period - 1);
+    let low = (1u64 << alpha) - 1;
+    let mut rest = (s.0 ^ d.0) & !low;
     let mut mask = 0u64;
     while rest != 0 {
         let c = u64::from(rest.trailing_zeros());
-        mask |= 1u64 << (c % period);
+        mask |= 1u64 << (c & low);
         rest &= rest - 1;
     }
     mask
