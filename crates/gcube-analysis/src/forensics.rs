@@ -454,7 +454,7 @@ pub fn render_profile(text: &str) -> Result<String, String> {
                 let barrier = num("barrier_nanos")?;
                 let run = num("run_nanos")?;
                 shards.push(format!(
-                    "  shard {s}: {} cycles, {} steal units ({} reqs), \
+                    "  shard {s}: {} cycles, planned {} class units ({} reqs), \
                      {}+{} moves (self+out), barrier {:.1}% of {:.3}ms",
                     num("cycles")?,
                     num("steal_units")?,

@@ -2,13 +2,12 @@
 //! combined summary to stdout. `GCUBE_QUICK=1` shrinks the simulations for
 //! smoke runs.
 
+use gcube_analysis::structure;
 use gcube_analysis::tables::{num, Table};
-use gcube_analysis::{diameter, structure, tolerance};
 use gcube_bench::{
-    churn_rates, churn_sweep, fault_free_sweep, fault_impact_sweep, log2_cell, results_dir,
-    theorem3_budget_sweep,
+    churn_sweep, churn_table, fault_free_sweep, fault_impact_sweep, fig1_table, fig2_table,
+    fig4_table, fig5_table, fig6_table, fig7_table, fig8_table, results_dir, theorem3_budget_sweep,
 };
-use gcube_topology::{GaussianTree, Topology};
 
 fn main() {
     let dir = results_dir();
@@ -16,43 +15,21 @@ fn main() {
     println!("results dir: {}\n", dir.display());
 
     // Figure 1: Gaussian graph edge lists.
-    let mut fig1 = Table::new(["m", "dim", "lo", "hi"]);
-    for m in 2..=4u32 {
-        let t = GaussianTree::new(m).unwrap();
-        for l in t.links() {
-            let (a, b) = l.endpoints();
-            fig1.row([
-                m.to_string(),
-                l.dim.to_string(),
-                a.0.to_string(),
-                b.0.to_string(),
-            ]);
-        }
-    }
+    let fig1 = fig1_table();
     fig1.write_csv(&dir.join("fig1_gaussian_graphs.csv"))
         .unwrap();
     println!("[fig1] G_2..G_4 edge lists: {} edges total", fig1.len());
 
     // Figure 2: tree diameters.
-    let mut fig2 = Table::new(["m", "nodes", "diameter"]);
-    for p in diameter::series(16) {
-        fig2.row([p.m.to_string(), p.nodes.to_string(), p.diameter.to_string()]);
-    }
-    fig2.write_csv(&dir.join("fig2_tree_diameter.csv")).unwrap();
+    fig2_table(16)
+        .write_csv(&dir.join("fig2_tree_diameter.csv"))
+        .unwrap();
     println!("[fig2] D(T_m) for m in 1..=16");
 
     // Figure 4: tolerable faults.
-    let mut fig4 = Table::new(["n", "alpha", "T_paper", "log2_T", "T_guaranteed"]);
-    for p in tolerance::series(24) {
-        fig4.row([
-            p.n.to_string(),
-            p.alpha.to_string(),
-            p.t_paper.to_string(),
-            num(p.log2_t_paper, 3),
-            p.t_guaranteed.to_string(),
-        ]);
-    }
-    fig4.write_csv(&dir.join("fig4_max_faults.csv")).unwrap();
+    fig4_table(24)
+        .write_csv(&dir.join("fig4_max_faults.csv"))
+        .unwrap();
     println!("[fig4] log2 T(GC(α,n)) for α in 1..=4, n ≤ 24");
 
     // Structure table (supporting §1 density discussion).
@@ -77,43 +54,18 @@ fn main() {
     // Figures 5 & 6: fault-free latency / throughput sweep.
     println!("[fig5/6] running fault-free sweep (n=6..14, M=1,2,4)…");
     let points = fault_free_sweep();
-    let mut fig5 = Table::new(["n", "M", "avg_latency_cycles", "avg_hops"]);
-    let mut fig6 = Table::new(["n", "M", "throughput_pkts_per_cycle", "log2_throughput"]);
-    for p in &points {
-        fig5.row([
-            p.config.n.to_string(),
-            p.config.modulus.to_string(),
-            num(p.metrics.avg_latency(), 3),
-            num(p.metrics.avg_hops(), 3),
-        ]);
-        fig6.row([
-            p.config.n.to_string(),
-            p.config.modulus.to_string(),
-            num(p.metrics.throughput(), 4),
-            log2_cell(p.metrics.log2_throughput()),
-        ]);
-    }
+    let fig5 = fig5_table(&points);
     fig5.write_csv(&dir.join("fig5_latency.csv")).unwrap();
-    fig6.write_csv(&dir.join("fig6_throughput.csv")).unwrap();
+    fig6_table(&points)
+        .write_csv(&dir.join("fig6_throughput.csv"))
+        .unwrap();
     print!("{}", fig5.render());
 
     // Figures 7 & 8: fault impact sweep.
     println!("[fig7/8] running fault-impact sweep (GC(n,2), n=5..13)…");
     let (healthy, faulty) = fault_impact_sweep();
-    let mut fig7 = Table::new(["n", "latency_no_fault", "latency_one_fault"]);
-    let mut fig8 = Table::new(["n", "log2_throughput_no_fault", "log2_throughput_one_fault"]);
-    for (h, f) in healthy.iter().zip(&faulty) {
-        fig7.row([
-            h.config.n.to_string(),
-            num(h.metrics.avg_latency(), 3),
-            num(f.metrics.avg_latency(), 3),
-        ]);
-        fig8.row([
-            h.config.n.to_string(),
-            log2_cell(h.metrics.log2_throughput()),
-            log2_cell(f.metrics.log2_throughput()),
-        ]);
-    }
+    let fig7 = fig7_table(&healthy, &faulty);
+    let fig8 = fig8_table(&healthy, &faulty);
     fig7.write_csv(&dir.join("fig7_fault_latency.csv")).unwrap();
     fig8.write_csv(&dir.join("fig8_fault_throughput.csv"))
         .unwrap();
@@ -122,33 +74,8 @@ fn main() {
 
     // Beyond the paper: degradation under dynamic fault churn.
     println!("[churn] running degradation-under-churn sweep (GC(9,2))…");
-    let churn = churn_sweep();
-    let mut ct = Table::new([
-        "churn_rate",
-        "fault_events",
-        "delivery_ratio",
-        "completion_ratio",
-        "rerouted_packets",
-        "latency_p50",
-        "latency_p95",
-        "latency_p99",
-    ]);
-    let pctl = |v: Option<u64>| v.map_or_else(|| "-".into(), |x| x.to_string());
-    for (rate, p) in churn_rates().iter().zip(&churn) {
-        let m = p.report.metrics;
-        ct.row([
-            num(*rate, 3),
-            m.fault_events.to_string(),
-            num(m.delivery_ratio(), 4),
-            num(m.completion_ratio(), 4),
-            m.rerouted_packets.to_string(),
-            pctl(m.latency_hist.p50()),
-            pctl(m.latency_hist.p95()),
-            pctl(m.latency_hist.p99()),
-        ]);
-    }
-    ct.write_csv(&dir.join("churn_degradation_summary.csv"))
-        .unwrap();
+    let ct = churn_table(&churn_sweep());
+    ct.write_csv(&dir.join("churn_degradation.csv")).unwrap();
     print!("{}", ct.render());
 
     // Beyond the paper: observed tolerated faults vs the Theorem 3 budget.

@@ -162,8 +162,8 @@ struct ParallelSpeedup {
 }
 
 /// Shard-engine scaling on `GC(10, 4)`: uncached FTGCR under static
-/// faults at high load, so planning (stolen across threads at
-/// ending-class granularity) dominates. Each round runs 1, 2 and 4
+/// faults at high load, so planning (each shard plans the injections of
+/// its own ending classes) dominates. Each round runs 1, 2 and 4
 /// threads, starting one thread count later than the round before.
 fn measure_parallel() -> ParallelSpeedup {
     let algo = FaultTolerantGcr;

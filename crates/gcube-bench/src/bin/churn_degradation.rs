@@ -14,65 +14,12 @@
 //!   reconvergence.
 
 use gcube_analysis::tables::{num, Table};
-use gcube_bench::{churn_rates, churn_sweep, results_dir};
+use gcube_bench::{churn_rates, churn_sweep, churn_table, results_dir};
 
 fn main() {
     let points = churn_sweep();
     let rates = churn_rates();
-    assert_eq!(points.len(), rates.len());
-
-    let mut table = Table::new([
-        "churn_rate",
-        "fault_events",
-        "delivery_ratio",
-        "drop_ratio",
-        "completion_ratio",
-        "ttl_expired",
-        "dropped_stranded",
-        "dropped_unrecoverable",
-        "suppressed_injections",
-        "rerouted_packets",
-        "detour_hops",
-        "avg_latency",
-        "latency_p50",
-        "latency_p95",
-        "latency_p99",
-        "latency_max",
-        "stale_cycles",
-        "reconvergences",
-        "health_transitions",
-        "final_health",
-        "final_faults",
-        "thm3_headroom",
-    ]);
-    let pctl = |v: Option<u64>| v.map_or_else(|| "-".into(), |x| x.to_string());
-    for (rate, p) in rates.iter().zip(&points) {
-        let m = p.report.metrics;
-        table.row([
-            num(*rate, 3),
-            m.fault_events.to_string(),
-            num(m.delivery_ratio(), 4),
-            num(m.drop_ratio(), 4),
-            num(m.completion_ratio(), 4),
-            m.ttl_expired.to_string(),
-            m.dropped_stranded.to_string(),
-            m.dropped_unrecoverable.to_string(),
-            m.suppressed_injections.to_string(),
-            m.rerouted_packets.to_string(),
-            m.rerouted_hops.to_string(),
-            num(m.avg_latency(), 3),
-            pctl(m.latency_hist.p50()),
-            pctl(m.latency_hist.p95()),
-            pctl(m.latency_hist.p99()),
-            m.latency_hist.max().to_string(),
-            m.stale_cycles.to_string(),
-            m.reconvergences.to_string(),
-            m.health_transitions.to_string(),
-            p.report.budget.state.as_str().to_string(),
-            p.report.budget.total.to_string(),
-            p.report.budget.headroom_paper().to_string(),
-        ]);
-    }
+    let table = churn_table(&points);
     println!("Degradation under churn (GC(9,2), FTGCR, transient faults, paper-delay knowledge)\n");
     print!("{}", table.render());
     let path = results_dir().join("churn_degradation.csv");

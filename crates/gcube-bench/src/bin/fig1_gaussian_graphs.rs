@@ -3,12 +3,10 @@
 //! Prints each graph's edge list (grouped by spanning dimension) and
 //! verifies the tree property (Theorem 2) on the fly.
 
-use gcube_analysis::tables::Table;
-use gcube_bench::results_dir;
+use gcube_bench::{fig1_table, results_dir};
 use gcube_topology::{GaussianTree, NoFaults, NodeId, Topology};
 
 fn main() {
-    let mut csv = Table::new(["m", "dim", "lo", "hi"]);
     for m in 2..=4u32 {
         let t = GaussianTree::new(m).expect("small m");
         println!("G_{m}: {} nodes, {} edges", t.num_nodes(), t.num_links());
@@ -25,12 +23,6 @@ fn main() {
                 .filter(|l| l.dim == dim)
                 .map(|l| {
                     let (a, b) = l.endpoints();
-                    csv.row([
-                        m.to_string(),
-                        dim.to_string(),
-                        a.0.to_string(),
-                        b.0.to_string(),
-                    ]);
                     format!("({} - {})", a.to_binary(m), b.to_binary(m))
                 })
                 .collect();
@@ -43,6 +35,6 @@ fn main() {
         println!("  degrees: {}\n", degs.join(" "));
     }
     let path = results_dir().join("fig1_gaussian_graphs.csv");
-    csv.write_csv(&path).expect("write CSV");
+    fig1_table().write_csv(&path).expect("write CSV");
     println!("wrote {}", path.display());
 }

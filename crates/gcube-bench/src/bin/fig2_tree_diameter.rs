@@ -1,19 +1,13 @@
 //! Figure 2 — diameter of the Gaussian Tree `T_m` versus `m`.
 
-use gcube_analysis::diameter::series;
-use gcube_analysis::tables::Table;
-use gcube_bench::results_dir;
+use gcube_bench::{fig2_table, results_dir};
 
 fn main() {
     let max_m: u32 = std::env::args()
         .nth(1)
         .and_then(|a| a.parse().ok())
         .unwrap_or(16);
-    let s = series(max_m.min(20));
-    let mut table = Table::new(["m", "nodes", "diameter"]);
-    for p in &s {
-        table.row([p.m.to_string(), p.nodes.to_string(), p.diameter.to_string()]);
-    }
+    let table = fig2_table(max_m.min(20));
     println!("Figure 2 — D(T_m) vs m (exact, double BFS)\n");
     print!("{}", table.render());
     let path = results_dir().join("fig2_tree_diameter.csv");

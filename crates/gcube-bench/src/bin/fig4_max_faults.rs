@@ -1,25 +1,13 @@
 //! Figure 4 — `log2 T(GC(α, n))` versus dimension, `α ∈ {1, 2, 3, 4}`.
 
-use gcube_analysis::tables::{num, Table};
-use gcube_analysis::tolerance::series;
-use gcube_bench::results_dir;
+use gcube_bench::{fig4_table, results_dir};
 
 fn main() {
     let max_n: u32 = std::env::args()
         .nth(1)
         .and_then(|a| a.parse().ok())
         .unwrap_or(24);
-    let s = series(max_n.min(30));
-    let mut table = Table::new(["n", "alpha", "T_paper", "log2_T", "T_guaranteed"]);
-    for p in &s {
-        table.row([
-            p.n.to_string(),
-            p.alpha.to_string(),
-            p.t_paper.to_string(),
-            num(p.log2_t_paper, 3),
-            p.t_guaranteed.to_string(),
-        ]);
-    }
+    let table = fig4_table(max_n.min(30));
     println!("Figure 4 — log2 T(GC(α,n)) vs n (tolerable faulty links)\n");
     print!("{}", table.render());
     let path = results_dir().join("fig4_max_faults.csv");

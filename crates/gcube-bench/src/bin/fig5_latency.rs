@@ -1,29 +1,10 @@
 //! Figure 5 — average latency versus dimension in fault-free `GC(n, M)`,
 //! `n ∈ [6, 14]`, `M ∈ {1, 2, 4}`, FFGCR routing.
 
-use gcube_analysis::tables::{num, Table};
-use gcube_bench::{fault_free_sweep, results_dir};
+use gcube_bench::{fault_free_sweep, fig5_table, results_dir};
 
 fn main() {
-    let points = fault_free_sweep();
-    let mut table = Table::new([
-        "n",
-        "M",
-        "avg_latency_cycles",
-        "avg_hops",
-        "delivered",
-        "injected",
-    ]);
-    for p in &points {
-        table.row([
-            p.config.n.to_string(),
-            p.config.modulus.to_string(),
-            num(p.metrics.avg_latency(), 3),
-            num(p.metrics.avg_hops(), 3),
-            p.metrics.delivered.to_string(),
-            p.metrics.injected.to_string(),
-        ]);
-    }
+    let table = fig5_table(&fault_free_sweep());
     println!("Figure 5 — average latency vs dimension (fault-free, FFGCR)\n");
     print!("{}", table.render());
     let path = results_dir().join("fig5_latency.csv");

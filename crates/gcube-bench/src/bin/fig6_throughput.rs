@@ -1,20 +1,10 @@
 //! Figure 6 — `log2` throughput versus dimension in fault-free `GC(n, M)`,
 //! same sweep as Figure 5.
 
-use gcube_analysis::tables::{num, Table};
-use gcube_bench::{fault_free_sweep, log2_cell, results_dir};
+use gcube_bench::{fault_free_sweep, fig6_table, results_dir};
 
 fn main() {
-    let points = fault_free_sweep();
-    let mut table = Table::new(["n", "M", "throughput_pkts_per_cycle", "log2_throughput"]);
-    for p in &points {
-        table.row([
-            p.config.n.to_string(),
-            p.config.modulus.to_string(),
-            num(p.metrics.throughput(), 4),
-            log2_cell(p.metrics.log2_throughput()),
-        ]);
-    }
+    let table = fig6_table(&fault_free_sweep());
     println!("Figure 6 — log2 throughput vs dimension (fault-free, FFGCR)\n");
     print!("{}", table.render());
     let path = results_dir().join("fig6_throughput.csv");

@@ -1,28 +1,11 @@
 //! Figure 7 — the influence of one faulty node on average latency:
 //! `GC(n, 2)`, `n ∈ [5, 13]`, FTGCR, no-fault vs one faulty node.
 
-use gcube_analysis::tables::{num, Table};
-use gcube_bench::{fault_impact_sweep, results_dir};
+use gcube_bench::{fault_impact_sweep, fig7_table, results_dir};
 
 fn main() {
     let (healthy, faulty) = fault_impact_sweep();
-    let mut table = Table::new([
-        "n",
-        "latency_no_fault",
-        "latency_one_fault",
-        "hops_no_fault",
-        "hops_one_fault",
-    ]);
-    for (h, f) in healthy.iter().zip(&faulty) {
-        assert_eq!(h.config.n, f.config.n);
-        table.row([
-            h.config.n.to_string(),
-            num(h.metrics.avg_latency(), 3),
-            num(f.metrics.avg_latency(), 3),
-            num(h.metrics.avg_hops(), 3),
-            num(f.metrics.avg_hops(), 3),
-        ]);
-    }
+    let table = fig7_table(&healthy, &faulty);
     println!("Figure 7 — fault influence on average latency (GC(n,2), FTGCR)\n");
     print!("{}", table.render());
     let path = results_dir().join("fig7_fault_latency.csv");

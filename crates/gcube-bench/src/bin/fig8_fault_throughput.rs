@@ -1,28 +1,11 @@
 //! Figure 8 — the influence of one faulty node on throughput:
 //! `GC(n, 2)`, `n ∈ [5, 13]`, FTGCR, no-fault vs one faulty node.
 
-use gcube_analysis::tables::{num, Table};
-use gcube_bench::{fault_impact_sweep, log2_cell, results_dir};
+use gcube_bench::{fault_impact_sweep, fig8_table, results_dir};
 
 fn main() {
     let (healthy, faulty) = fault_impact_sweep();
-    let mut table = Table::new([
-        "n",
-        "log2_throughput_no_fault",
-        "log2_throughput_one_fault",
-        "throughput_no_fault",
-        "throughput_one_fault",
-    ]);
-    for (h, f) in healthy.iter().zip(&faulty) {
-        assert_eq!(h.config.n, f.config.n);
-        table.row([
-            h.config.n.to_string(),
-            log2_cell(h.metrics.log2_throughput()),
-            log2_cell(f.metrics.log2_throughput()),
-            num(h.metrics.throughput(), 4),
-            num(f.metrics.throughput(), 4),
-        ]);
-    }
+    let table = fig8_table(&healthy, &faulty);
     println!("Figure 8 — fault influence on throughput (GC(n,2), FTGCR)\n");
     print!("{}", table.render());
     let path = results_dir().join("fig8_fault_throughput.csv");

@@ -16,17 +16,23 @@
 //!
 //! (Figure 3 is a worked example of the CT algorithm; it is reproduced by
 //! `examples/topology_explorer.rs` rather than a measurement binary.)
+//!
+//! Each figure's CSV table is built by one function here (`fig1_table`
+//! … `fig8_table`, `churn_table`), which both its binary and
+//! `all_figures` call, so a CSV has the same columns whichever wrote it.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
+use gcube_analysis::tables::{num, Table};
+use gcube_analysis::{diameter, tolerance};
 use gcube_sim::{
     run_churn_sweep, run_sweep, CachedFtgcr, CategoryMix, ChurnPoint, CollectiveOp, FaultFreeGcr,
     FaultKind, FaultSchedule, FaultTarget, FaultTolerantGcr, KnowledgeModel, Metrics,
     MultiTreeStrategy, RoutingAlgorithm, SimConfig, SweepPoint, TimedFault,
 };
 use gcube_topology::classes::{n_bound_paper, subcube_pos};
-use gcube_topology::{GaussianCube, LinkId, NodeId, Topology};
+use gcube_topology::{GaussianCube, GaussianTree, LinkId, NodeId, Topology};
 
 /// Format an optional `log2` value for a table cell (`n/a` when the
 /// underlying quantity was zero and the logarithm is undefined).
@@ -59,6 +65,198 @@ pub fn threads() -> usize {
 /// Simulation scale knob: `GCUBE_QUICK=1` shrinks cycle counts ~5x for CI.
 pub fn quick() -> bool {
     std::env::var("GCUBE_QUICK").is_ok_and(|v| v == "1")
+}
+
+/// Figure 1: the edge lists of the Gaussian graphs `G_2`, `G_3`, `G_4`,
+/// in link order (`fig1_gaussian_graphs.csv`).
+pub fn fig1_table() -> Table {
+    let mut table = Table::new(["m", "dim", "lo", "hi"]);
+    for m in 2..=4u32 {
+        let t = GaussianTree::new(m).expect("small m");
+        for l in t.links() {
+            let (a, b) = l.endpoints();
+            table.row([
+                m.to_string(),
+                l.dim.to_string(),
+                a.0.to_string(),
+                b.0.to_string(),
+            ]);
+        }
+    }
+    table
+}
+
+/// Figure 2: the exact diameter of `T_m` for `m ≤ max_m`
+/// (`fig2_tree_diameter.csv`).
+pub fn fig2_table(max_m: u32) -> Table {
+    let mut table = Table::new(["m", "nodes", "diameter"]);
+    for p in diameter::series(max_m) {
+        table.row([p.m.to_string(), p.nodes.to_string(), p.diameter.to_string()]);
+    }
+    table
+}
+
+/// Figure 4: the tolerable faulty links `T(GC(α, n))` for `n ≤ max_n`
+/// (`fig4_max_faults.csv`).
+pub fn fig4_table(max_n: u32) -> Table {
+    let mut table = Table::new(["n", "alpha", "T_paper", "log2_T", "T_guaranteed"]);
+    for p in tolerance::series(max_n) {
+        table.row([
+            p.n.to_string(),
+            p.alpha.to_string(),
+            p.t_paper.to_string(),
+            num(p.log2_t_paper, 3),
+            p.t_guaranteed.to_string(),
+        ]);
+    }
+    table
+}
+
+/// Figure 5: average latency and hops over [`fault_free_sweep`]'s points
+/// (`fig5_latency.csv`).
+pub fn fig5_table(points: &[SweepPoint]) -> Table {
+    let mut table = Table::new([
+        "n",
+        "M",
+        "avg_latency_cycles",
+        "avg_hops",
+        "delivered",
+        "injected",
+    ]);
+    for p in points {
+        table.row([
+            p.config.n.to_string(),
+            p.config.modulus.to_string(),
+            num(p.metrics.avg_latency(), 3),
+            num(p.metrics.avg_hops(), 3),
+            p.metrics.delivered.to_string(),
+            p.metrics.injected.to_string(),
+        ]);
+    }
+    table
+}
+
+/// Figure 6: throughput over [`fault_free_sweep`]'s points
+/// (`fig6_throughput.csv`).
+pub fn fig6_table(points: &[SweepPoint]) -> Table {
+    let mut table = Table::new(["n", "M", "throughput_pkts_per_cycle", "log2_throughput"]);
+    for p in points {
+        table.row([
+            p.config.n.to_string(),
+            p.config.modulus.to_string(),
+            num(p.metrics.throughput(), 4),
+            log2_cell(p.metrics.log2_throughput()),
+        ]);
+    }
+    table
+}
+
+/// Figure 7: average latency and hops with no fault and with one faulty
+/// node, over [`fault_impact_sweep`]'s points (`fig7_fault_latency.csv`).
+pub fn fig7_table(healthy: &[SweepPoint], faulty: &[SweepPoint]) -> Table {
+    let mut table = Table::new([
+        "n",
+        "latency_no_fault",
+        "latency_one_fault",
+        "hops_no_fault",
+        "hops_one_fault",
+    ]);
+    for (h, f) in healthy.iter().zip(faulty) {
+        assert_eq!(h.config.n, f.config.n);
+        table.row([
+            h.config.n.to_string(),
+            num(h.metrics.avg_latency(), 3),
+            num(f.metrics.avg_latency(), 3),
+            num(h.metrics.avg_hops(), 3),
+            num(f.metrics.avg_hops(), 3),
+        ]);
+    }
+    table
+}
+
+/// Figure 8: throughput with no fault and with one faulty node, over
+/// [`fault_impact_sweep`]'s points (`fig8_fault_throughput.csv`).
+pub fn fig8_table(healthy: &[SweepPoint], faulty: &[SweepPoint]) -> Table {
+    let mut table = Table::new([
+        "n",
+        "log2_throughput_no_fault",
+        "log2_throughput_one_fault",
+        "throughput_no_fault",
+        "throughput_one_fault",
+    ]);
+    for (h, f) in healthy.iter().zip(faulty) {
+        assert_eq!(h.config.n, f.config.n);
+        table.row([
+            h.config.n.to_string(),
+            log2_cell(h.metrics.log2_throughput()),
+            log2_cell(f.metrics.log2_throughput()),
+            num(h.metrics.throughput(), 4),
+            num(f.metrics.throughput(), 4),
+        ]);
+    }
+    table
+}
+
+/// The churn summary: one row per [`churn_rates`] rate of
+/// [`churn_sweep`]'s points — delivery, drop breakdown, re-route volume,
+/// detour cost, latency, stale-knowledge exposure and final health
+/// (`churn_degradation.csv`).
+pub fn churn_table(points: &[ChurnPoint]) -> Table {
+    let rates = churn_rates();
+    assert_eq!(points.len(), rates.len());
+    let mut table = Table::new([
+        "churn_rate",
+        "fault_events",
+        "delivery_ratio",
+        "drop_ratio",
+        "completion_ratio",
+        "ttl_expired",
+        "dropped_stranded",
+        "dropped_unrecoverable",
+        "suppressed_injections",
+        "rerouted_packets",
+        "detour_hops",
+        "avg_latency",
+        "latency_p50",
+        "latency_p95",
+        "latency_p99",
+        "latency_max",
+        "stale_cycles",
+        "reconvergences",
+        "health_transitions",
+        "final_health",
+        "final_faults",
+        "thm3_headroom",
+    ]);
+    let pctl = |v: Option<u64>| v.map_or_else(|| "-".into(), |x| x.to_string());
+    for (rate, p) in rates.iter().zip(points) {
+        let m = p.report.metrics;
+        table.row([
+            num(*rate, 3),
+            m.fault_events.to_string(),
+            num(m.delivery_ratio(), 4),
+            num(m.drop_ratio(), 4),
+            num(m.completion_ratio(), 4),
+            m.ttl_expired.to_string(),
+            m.dropped_stranded.to_string(),
+            m.dropped_unrecoverable.to_string(),
+            m.suppressed_injections.to_string(),
+            m.rerouted_packets.to_string(),
+            m.rerouted_hops.to_string(),
+            num(m.avg_latency(), 3),
+            pctl(m.latency_hist.p50()),
+            pctl(m.latency_hist.p95()),
+            pctl(m.latency_hist.p99()),
+            m.latency_hist.max().to_string(),
+            m.stale_cycles.to_string(),
+            m.reconvergences.to_string(),
+            m.health_transitions.to_string(),
+            p.report.budget.state.as_str().to_string(),
+            p.report.budget.total.to_string(),
+            p.report.budget.headroom_paper().to_string(),
+        ]);
+    }
+    table
 }
 
 /// The Figure 5/6 sweep: fault-free `GC(n, M)`, `n ∈ [6, 14]`,

@@ -291,7 +291,7 @@ FORENSICS (offline analysis of recorded artifacts):
                        the tables (default 10)
   analyze profile PATH render a profile artifact: provenance, sample
                        windows, load-imbalance factor, wall-clock phase
-                       split and the per-shard barrier/steal table
+                       split and the per-shard barrier/planning table
   analyze diff A B     the A/B regression gate: strip report-only
                        wall-clock lines, validate provenance headers,
                        and require the deterministic remainder to match

@@ -377,11 +377,11 @@ impl Checkpoint {
             cycle: core.cycle,
             done: core.done,
             ended_at: core.ended_at,
-            next_id: core.next_id,
+            next_id: shard.next_id,
             in_flight: core.in_flight,
             converge_at: shard.converge_at,
             synced: shard.synced,
-            traffic_rng: core.traffic.rng_state(),
+            traffic_rng: shard.traffic.rng_state(),
             injector_rng: shard.injector.rng_state(),
             monitor_state: core.monitor.state(),
             monitor_downgraded: core.monitor.downgraded(),
@@ -1028,9 +1028,7 @@ impl Checkpoint {
         core.cycle = self.cycle;
         core.done = self.done;
         core.ended_at = self.ended_at;
-        core.next_id = self.next_id;
         core.in_flight = self.in_flight;
-        core.traffic.restore_rng(self.traffic_rng);
         core.monitor = FaultBudgetMonitor::from_parts(
             self.monitor_state,
             sim.algorithm().survives_bound_exceeded(),
@@ -1048,7 +1046,10 @@ impl Checkpoint {
         }
         let (truth, view) = (self.truth.rebuild(), self.view.rebuild());
         for (s, shard) in core.shards_mut().enumerate() {
-            // Every shard holds a replica of the fault state.
+            // Every shard holds a replica of the fault state and of the
+            // traffic stream.
+            shard.next_id = self.next_id;
+            shard.traffic.restore_rng(self.traffic_rng);
             shard.converge_at = self.converge_at;
             shard.synced = self.synced;
             shard

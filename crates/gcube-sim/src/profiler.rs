@@ -3,11 +3,11 @@
 //! [`crate::telemetry::TelemetrySink`].
 //!
 //! The shard engine computes a number of quantities every cycle that it
-//! then throws away — how many injection requests the coordinator
-//! planned, how many packets advanced, how the per-ending-class queues
-//! are balanced, how long each worker sat in the barrier versus doing
-//! work, how many plan units each thread stole off the shared cursor,
-//! and how many packets/events crossed the exchange mailboxes. A
+//! then throws away — how many injection requests were drawn, how many
+//! packets advanced, how the per-ending-class queues are balanced, how
+//! long each worker sat in the barrier versus doing work, how many
+//! class units and requests each shard planned, and how many
+//! packets/events crossed the exchange mailboxes. A
 //! [`ProfilerSink`] receives all of them; the engine monomorphises over
 //! the sink type so the [`NullProfiler`] path folds to dead code exactly
 //! like the other two sink families.
@@ -26,19 +26,21 @@
 //!   (the `analyze` run-diff mode and the CI 1-vs-4-thread gate diff
 //!   exactly these fields).
 //! * **Report-only fields** — wall-clock phase times, per-shard
-//!   barrier-wait versus work time, per-thread steal-unit claims and
-//!   exchange mailbox volumes. Wall clock is obviously
-//!   non-deterministic; steal claims race on an atomic cursor and
-//!   mailbox volumes depend on the shard count, so even their integer
-//!   values are scheduling- or thread-count-dependent. They appear only
-//!   in the human report and in JSONL lines tagged `"report_only":true`,
-//!   never in the deterministic stream.
+//!   barrier-wait versus work time, per-shard planning splits (class
+//!   units and requests, in the `steal_units` and `planned_reqs`
+//!   columns) and exchange mailbox volumes. Wall clock is obviously
+//!   non-deterministic; the planning splits and mailbox volumes are
+//!   deterministic for a fixed shard count but depend on it, because
+//!   each shard plans only its own classes. They appear only in the
+//!   human report and in JSONL lines tagged `"report_only":true`, never
+//!   in the deterministic stream.
 //!
-//! The aggregate *totals* of steal units and exchange volumes are
-//! thread-invariant for a fixed shard count (every unit is claimed
-//! exactly once, every non-arriving advance crosses a mailbox exactly
-//! once), but a 1-thread run has no units or mailboxes at all, so those
-//! totals still cannot live in the deterministic stream.
+//! The aggregate *totals* of class units, planned requests and exchange
+//! volumes are thread-invariant (every class and every attempt has
+//! exactly one owner, every non-arriving advance crosses a mailbox
+//! exactly once), but a 1-thread run has no per-shard breakdown or
+//! mailboxes at all, so those totals still cannot live in the
+//! deterministic stream.
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -63,9 +65,9 @@ pub const DEFAULT_PROFILE_RING: usize = 4096;
 pub struct ProfSample<'a> {
     /// Cycle index (0-based).
     pub cycle: u64,
-    /// Injection *requests* planned this cycle (before suppression by a
-    /// faulty source/destination is irrelevant — requests are counted at
-    /// packet-id assignment, so the count is engine-invariant).
+    /// Injection attempts drawn this cycle, network-wide. They are
+    /// counted at packet-id assignment (suppressed draws get no id), so
+    /// every shard draws the same count at any thread count.
     pub injected: u64,
     /// Packets that advanced one hop this cycle (forwarded hops).
     pub moved: u64,
@@ -81,16 +83,18 @@ pub struct ProfSample<'a> {
 }
 
 /// Whole-run, per-shard counters published by each worker (and the
-/// coordinator, shard 0) when it exits. **Report-only**: steal claims
-/// race on the plan cursor and the nano fields are wall clock.
+/// coordinator, shard 0) when it exits. **Report-only**: the nano fields
+/// are wall clock, so the whole record stays off the deterministic
+/// stream, although the counts are deterministic.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardProfile {
     /// Cycles this shard executed.
     pub cycles: u64,
-    /// Plan units this thread claimed off the shared cursor
-    /// (work-stealing; includes its own classes).
+    /// Class units this shard planned: one per owned ending class per
+    /// injecting cycle. The name predates the replicated draw, when
+    /// threads stole units off a shared cursor.
     pub steal_units: u64,
-    /// Injection requests planned inside those units.
+    /// Injection attempts this shard planned, those whose source it owns.
     pub planned_reqs: u64,
     /// Moved packets published to this shard's own mailbox.
     pub moves_self: u64,

@@ -16,10 +16,10 @@
 //! 2. **Collective launch (replicated).** The RNG-free planner derives the
 //!    same wave on every shard; each shard injects only the packets whose
 //!    source it owns, ahead of the cycle's unicast injection.
-//! 3. **Injection staging.** The coordinator alone draws the traffic
-//!    stream, in node order, and assigns packet ids per attempt; the
-//!    routes are planned against the view and the source's owner accounts
-//!    the outcome.
+//! 3. **Injection (replicated draw).** Every shard draws the whole traffic
+//!    stream from its own replica of the generator, in node order, against
+//!    its identical truth and view replicas, and gives every attempt the
+//!    next packet id; it plans and accounts only the sources it owns.
 //! 4. **Forwarding scan.** Each shard walks its occupancy bitset in the
 //!    global rotated service order. A head is sunk, dropped on its TTL,
 //!    forwarded, or — when its next hop is dead in the truth — handed to
@@ -43,10 +43,10 @@
 //! # One driver, two schedules
 //!
 //! The [`Coordinator`] is shard 0 plus everything network-global: the
-//! traffic RNG, the health monitor, the collective repair ledger, and the
-//! run's clock. It owns every other shard and the [`Exchange`] too, so a
-//! paused run — a [`crate::session::Stepper`], a daemon session, a run
-//! about to be checkpointed — is one value at any shard count.
+//! health monitor, the collective repair ledger, and the run's clock. It
+//! owns every other shard and the [`Exchange`] too, so a paused run — a
+//! [`crate::session::Stepper`], a daemon session, a run about to be
+//! checkpointed — is one value at any shard count.
 //! [`Coordinator::step_many`] is the only driver: `try_run` calls it
 //! once with no cycle limit, a stepper once per request.
 //!
@@ -63,15 +63,12 @@
 //!   that lends each worker its shard for up to `k` cycles of
 //!   [`Shard::worker_step`]; the coordinator steps on the calling thread
 //!   (it alone touches the caller's sinks, so they need no `Send` bound),
-//!   and the scope's join hands every shard back. All cross-shard traffic
-//!   flows through the preallocated [`Exchange`] in rounds separated by a
-//!   [`SpinBarrier`]:
-//!   - **Round A** (injection): the coordinator stages its draws by
-//!     ending class into plan units; every thread steals whole units off
-//!     an atomic cursor and plans them against its own, identical view
-//!     replica; owners then account their classes. The plan-cache key
-//!     includes the source class, so concurrent units touch disjoint keys
-//!     and the cache counters equal the one-shard run's.
+//!   and the scope's join hands every shard back. Injection needs no
+//!   round: each shard replays the draw and plans its own sources. The
+//!   plan-cache key includes the source class, so concurrent shards touch
+//!   disjoint keys and the cache counters equal the one-shard run's. All
+//!   cross-shard traffic flows through the preallocated [`Exchange`] in
+//!   rounds separated by a [`SpinBarrier`]:
 //!   - **Round B** (moves): each sender swaps its per-receiver move
 //!     buffers into a mailbox grid double-buffered on cycle parity, so a
 //!     fast shard's next-cycle publish never races a slow shard's drain.
@@ -256,23 +253,6 @@ impl Drop for PoisonOnUnwind<'_> {
     }
 }
 
-/// One injection request: the coordinator drew the traffic stream, any
-/// thread may plan it, the owning shard accounts it.
-struct InjectReq {
-    src: u64,
-    dst: NodeId,
-    id: u64,
-}
-
-/// One ending class's injection requests plus the planned routes filled
-/// in by whichever thread stole the unit. `plans[i]` is `None` when
-/// planning failed (accounted as a route failure by the owner).
-#[derive(Default)]
-struct PlanUnit {
-    reqs: Vec<InjectReq>,
-    plans: Vec<Option<PlannedRoute>>,
-}
-
 /// A routing-view mutation discovered during recovery, published once
 /// and applied by every replica in the identical order.
 #[derive(Clone, Copy)]
@@ -330,10 +310,6 @@ pub(crate) struct Exchange {
     /// `moved` counter, published alongside `contrib`. Written only when
     /// a profiler is attached.
     hops: [Vec<AtomicU64>; 2],
-    /// Round A work-stealing: one unit per ending class, claimed whole
-    /// off the cursor.
-    plan_units: Vec<Mutex<PlanUnit>>,
-    plan_cursor: AtomicUsize,
     /// Round C broadcast: per-shard verdicts plus the shared ordered
     /// view-op list (read in place by every worker).
     verdicts: Vec<Mutex<Vec<(u32, Verdict)>>>,
@@ -358,10 +334,6 @@ impl Exchange {
             events: [cells(shards), cells(shards)],
             contrib: counters(shards),
             hops: counters(shards),
-            plan_units: (0..classes)
-                .map(|_| Mutex::new(PlanUnit::default()))
-                .collect(),
-            plan_cursor: AtomicUsize::new(0),
             verdicts: cells(shards),
             view_ops: Mutex::new(Vec::new()),
             verdict_drops: AtomicU64::new(0),
@@ -411,9 +383,10 @@ struct CycleStart {
 }
 
 /// One node range's state and the kernel's per-cycle phases over it:
-/// its packets and queues, its replicas of the truth, view and fault
-/// injector, and its additive share of the run's metrics, windows,
-/// collective records, telemetry delta and trace events.
+/// its packets and queues, its replicas of the truth, view, fault
+/// injector, traffic generator and packet-id counter, and its additive
+/// share of the run's metrics, windows, collective records, telemetry
+/// delta and trace events.
 pub(crate) struct Shard {
     me: usize,
     /// Ending class → owning shard.
@@ -430,6 +403,10 @@ pub(crate) struct Shard {
     pub(crate) synced: (u64, u64),
     pub(crate) injector: FaultInjector,
     pub(crate) converge_at: Option<u64>,
+    /// The traffic stream, drawn whole by every shard.
+    pub(crate) traffic: TrafficGen,
+    /// The id of the next injection attempt, network-wide.
+    pub(crate) next_id: u64,
     dynamic: bool,
     ttl: u64,
     warmup: u64,
@@ -515,6 +492,8 @@ impl Shard {
             synced,
             injector,
             converge_at: None,
+            traffic: TrafficGen::with_pattern(cfg.seed, cfg.injection_rate, cfg.pattern),
+            next_id: 0,
             dynamic: !cfg.schedule.is_none(),
             ttl: cfg.effective_ttl(),
             warmup: cfg.warmup_cycles.min(cfg.inject_cycles),
@@ -731,9 +710,77 @@ impl Shard {
         Some(Some(plan))
     }
 
-    /// Phase 3, owner side: account one injection attempt whose planning
-    /// already happened (`None`: no route).
-    fn account_injection(&mut self, cycle: u64, req: &InjectReq, plan: Option<PlannedRoute>) {
+    /// Phase 3: draw the traffic stream in node order and give every
+    /// attempt the next packet id, then plan and account the attempts whose
+    /// source this shard owns. Every shard draws against identical truth
+    /// and view replicas, so the stream, the ids and the attempt count
+    /// (returned) are the same everywhere; a suppressed draw is counted by
+    /// its source's owner alone.
+    fn inject(&mut self, sim: &Simulator, cycle: u64) -> u64 {
+        let measuring = cycle >= self.warmup;
+        let mut attempts = 0u64;
+        let mut planned = 0u64;
+        let mut from = 0;
+        while let Some(v) =
+            self.traffic
+                .next_source(self.truth.dead_node_words(), from, self.n_nodes)
+        {
+            from = v + 1;
+            if let Some(cap) = self.capacity {
+                // Backpressure: the source buffer is full. Finite buffers
+                // run on one shard, which owns every source.
+                if self.queues.len(v as usize) >= cap {
+                    if measuring {
+                        self.metrics.blocked_injections += 1;
+                    }
+                    continue;
+                }
+            }
+            let own = self.class_owner[v as usize & self.cmask] == self.me;
+            let src = NodeId(v);
+            let Some(dst) = self.traffic.pick_dest(&sim.gc, &self.view, src) else {
+                // The offered load just shrank by one packet: count it
+                // instead of silently skewing throughput comparisons
+                // (permutation partner faulty or self, or no healthy
+                // destination at all).
+                if own {
+                    self.metrics.suppressed_injections_total += 1;
+                    if measuring {
+                        self.metrics.suppressed_injections += 1;
+                    }
+                }
+                continue;
+            };
+            // Ids are assigned per injection *attempt*: a failed route
+            // consumes its id too, so ids are a pure function of the
+            // traffic stream, whichever shard plans the route.
+            let id = self.next_id;
+            self.next_id += 1;
+            attempts += 1;
+            if own {
+                planned += 1;
+                let route = sim.algorithm.plan_route(&sim.gc, &self.view, src, dst);
+                self.account_injection(cycle, src, dst, id, route.ok());
+            }
+        }
+        if self.profiling_on {
+            let (lo, hi) = self.class_range;
+            self.profile.steal_units += (hi - lo) as u64;
+            self.profile.planned_reqs += planned;
+        }
+        attempts
+    }
+
+    /// Phase 3, owner side: account one planned injection attempt
+    /// (`None`: no route).
+    fn account_injection(
+        &mut self,
+        cycle: u64,
+        src: NodeId,
+        dst: NodeId,
+        id: u64,
+        plan: Option<PlannedRoute>,
+    ) {
         let measuring = cycle >= self.warmup;
         let widx = self.widx;
         let Some(planned) = plan else {
@@ -743,8 +790,7 @@ impl Shard {
             }
             return;
         };
-        let src = NodeId(req.src);
-        let key = |seq| ekey(SUB_INJECT, req.src, seq);
+        let key = |seq| ekey(SUB_INJECT, src.0, seq);
         let planned_hops = planned.path.hops() as u64;
         self.metrics.injected_total += 1;
         if self.telemetry_on {
@@ -754,13 +800,10 @@ impl Shard {
             self.metrics.injected += 1;
         }
         self.windows[widx].injected += 1;
-        let kind = TraceEventKind::Inject {
-            dst: req.dst,
-            planned_hops,
-        };
-        self.trace(key(0), cycle, req.id, src, kind);
+        let kind = TraceEventKind::Inject { dst, planned_hops };
+        self.trace(key(0), cycle, id, src, kind);
         if let Some(tc) = planned.tree {
-            self.account_tree_choice(cycle, key(1), req.id, src, tc);
+            self.account_tree_choice(cycle, key(1), id, src, tc);
         }
         if planned_hops == 0 {
             // src == dst cannot happen (pick_dest), but a zero-hop route
@@ -779,10 +822,10 @@ impl Shard {
                 latency: 0,
                 hops: 0,
             };
-            self.trace(key(2), cycle, req.id, src, kind);
+            self.trace(key(2), cycle, id, src, kind);
         } else {
-            let slot = self.store.alloc(req.id, cycle, planned.path);
-            self.enqueue(req.src as usize, slot);
+            let slot = self.store.alloc(id, cycle, planned.path);
+            self.enqueue(src.0 as usize, slot);
         }
     }
 
@@ -1172,53 +1215,6 @@ impl Shard {
         }
     }
 
-    /// Round A, between its two barriers: claim whole plan units off the
-    /// shared cursor and plan them against this shard's view replica.
-    /// All replicas are identical here, so the routes are independent of
-    /// who plans them.
-    fn plan_stolen_units(&mut self, sim: &Simulator, ex: &Exchange) {
-        loop {
-            let u = ex.plan_cursor.fetch_add(1, Ordering::Relaxed);
-            if u >= ex.plan_units.len() {
-                break;
-            }
-            let mut unit = lock(&ex.plan_units[u]);
-            let unit = &mut *unit;
-            if self.profiling_on {
-                // Report-only: which thread wins a unit races on the
-                // cursor, so per-shard claims never enter the
-                // deterministic stream.
-                self.profile.steal_units += 1;
-                self.profile.planned_reqs += unit.reqs.len() as u64;
-            }
-            unit.plans.clear();
-            for req in &unit.reqs {
-                let planned =
-                    sim.algorithm
-                        .plan_route(&sim.gc, &self.view, NodeId(req.src), req.dst);
-                unit.plans.push(planned.ok());
-            }
-        }
-    }
-
-    /// Round A, after its second barrier: account this shard's classes'
-    /// planned injections. Across classes the order differs from node
-    /// order, which is invisible: the counters are additive, each node
-    /// injects at most once per cycle, and trace events carry their key.
-    fn account_own_units(&mut self, cycle: u64, ex: &Exchange) {
-        let (lo, hi) = self.class_range;
-        for unit in &ex.plan_units[lo..hi] {
-            let mut unit = lock(unit);
-            let unit = &mut *unit;
-            debug_assert_eq!(unit.reqs.len(), unit.plans.len());
-            for (req, plan) in unit.reqs.iter().zip(unit.plans.iter_mut()) {
-                self.account_injection(cycle, req, plan.take());
-            }
-            unit.reqs.clear();
-            unit.plans.clear();
-        }
-    }
-
     /// Round B, before its barrier: publish this cycle's cross-shard
     /// moves, blocked heads, trace events, in-flight contribution
     /// (queued packets, own moves still to push, and outgoing moves) and
@@ -1301,10 +1297,7 @@ impl Shard {
         // worker only injects its own share of the wave.
         let _ = self.launch_collective(sim, cycle);
         if cycle < inject_cycles {
-            self.barrier_wait(ex); // Round A: units filled by the coordinator.
-            self.plan_stolen_units(sim, ex);
-            self.barrier_wait(ex); // Round A: every unit planned.
-            self.account_own_units(cycle, ex);
+            self.inject(sim, cycle);
         }
         self.scan(sim, cycle, false);
         self.drain_moves(cycle);
@@ -1342,18 +1335,16 @@ fn lap<T: TelemetrySink, P: ProfilerSink>(
     }
 }
 
-/// Shard 0 plus everything network-global: the traffic RNG and packet
-/// ids, the health monitor, the collective repair ledger, and the run's
-/// clock. It also owns the other shards between calls, so it is the whole
-/// paused run that steppers, checkpoints and the daemon hold.
+/// Shard 0 plus everything network-global: the health monitor, the
+/// collective repair ledger, and the run's clock. It also owns the other
+/// shards between calls, so it is the whole paused run that steppers,
+/// checkpoints and the daemon hold.
 pub(crate) struct Coordinator {
     pub(crate) shard: Shard,
     /// Shards `1..T` and their mailbox grid (`None` for one shard), lent
     /// to worker threads for the length of one [`Coordinator::step_many`].
     workers: Vec<Shard>,
     ex: Option<Exchange>,
-    pub(crate) traffic: TrafficGen,
-    pub(crate) next_id: u64,
     pub(crate) monitor: FaultBudgetMonitor,
     pub(crate) repair_ledger: RepairLedger,
     /// The next cycle to execute.
@@ -1365,10 +1356,6 @@ pub(crate) struct Coordinator {
     shards: usize,
     /// Every shard's class range.
     ranges: Vec<(usize, usize)>,
-    /// Per-class injection staging for Round A, swapped whole into the
-    /// plan units each cycle (the swapped-back vectors keep their
-    /// capacities).
-    class_fill: Vec<Vec<InjectReq>>,
     /// Global end-of-cycle class snapshots, assembled in Round D.
     global_cq: Vec<u64>,
     global_co: Vec<u64>,
@@ -1417,8 +1404,6 @@ impl Coordinator {
             shard,
             workers,
             ex,
-            traffic: TrafficGen::with_pattern(cfg.seed, cfg.injection_rate, cfg.pattern),
-            next_id: 0,
             monitor,
             repair_ledger: RepairLedger::new(classes),
             cycle: 0,
@@ -1427,7 +1412,6 @@ impl Coordinator {
             in_flight: 0,
             shards,
             ranges: class_ranges(classes, shards),
-            class_fill: (0..classes).map(|_| Vec::new()).collect(),
             global_cq: vec![0; classes],
             global_co: vec![0; classes],
         }
@@ -1611,7 +1595,7 @@ impl Coordinator {
             }
         }
         let cycle_injected = if cycle < cfg.inject_cycles {
-            self.inject(sim, ex, cycle)
+            self.shard.inject(sim, cycle)
         } else {
             0
         };
@@ -1701,73 +1685,6 @@ impl Coordinator {
             self.done = true;
         }
         self.done
-    }
-
-    /// Phase 3: draw the traffic stream in node order, assign packet ids
-    /// per attempt, and plan and account every injection — inline on one
-    /// shard, through Round A otherwise. Returns the attempts drawn.
-    fn inject(&mut self, sim: &Simulator, ex: Option<&Exchange>, cycle: u64) -> u64 {
-        let measuring = cycle >= self.shard.warmup;
-        let mut cycle_injected = 0u64;
-        let n_nodes = sim.gc.num_nodes();
-        let mut from = 0;
-        while let Some(v) =
-            self.traffic
-                .next_source(self.shard.truth.dead_node_words(), from, n_nodes)
-        {
-            from = v + 1;
-            let shard = &mut self.shard;
-            if let Some(cap) = shard.capacity {
-                if shard.queues.len(v as usize) >= cap {
-                    // Backpressure: the source buffer is full.
-                    if measuring {
-                        shard.metrics.blocked_injections += 1;
-                    }
-                    continue;
-                }
-            }
-            let src = NodeId(v);
-            let Some(dst) = self.traffic.pick_dest(&sim.gc, &shard.view, src) else {
-                // The offered load just shrank by one packet: count
-                // it instead of silently skewing throughput
-                // comparisons (permutation partner faulty or self, or
-                // no healthy destination at all).
-                shard.metrics.suppressed_injections_total += 1;
-                if measuring {
-                    shard.metrics.suppressed_injections += 1;
-                }
-                continue;
-            };
-            // Ids are assigned per injection *attempt*: a failed
-            // route consumes its id too, so ids are a pure function
-            // of the traffic stream, whoever plans the route.
-            let req = InjectReq {
-                src: v,
-                dst,
-                id: self.next_id,
-            };
-            self.next_id += 1;
-            cycle_injected += 1;
-            if ex.is_some() {
-                self.class_fill[v as usize & shard.cmask].push(req);
-            } else {
-                let planned = sim.algorithm.plan_route(&sim.gc, &shard.view, src, dst);
-                shard.account_injection(cycle, &req, planned.ok());
-            }
-        }
-        if let Some(ex) = ex {
-            for (unit, fill) in ex.plan_units.iter().zip(&mut self.class_fill) {
-                let mut unit = lock(unit);
-                debug_assert!(unit.reqs.is_empty(), "owner must have drained last cycle");
-                mem::swap(&mut unit.reqs, fill);
-            }
-            ex.plan_cursor.store(0, Ordering::Relaxed);
-            self.shard.barrier_wait(ex); // Round A: units filled.
-            self.shard.plan_stolen_units(sim, ex);
-            self.shard.barrier_wait(ex); // Round A: every unit planned.
-            self.shard.account_own_units(cycle, ex);
-        }
-        cycle_injected
     }
 
     /// The network-wide end-of-cycle class snapshot: the coordinator's
@@ -2020,7 +1937,12 @@ mod tests {
     }
 
     fn churn_config() -> SimConfig {
-        SimConfig::new(6, 2)
+        churn_config_on(6, 2)
+    }
+
+    /// The churn scenario on `GC(n, m)`.
+    fn churn_config_on(n: u32, m: u64) -> SimConfig {
+        SimConfig::new(n, m)
             .with_cycles(300, 3_000, 40)
             .with_rate(0.08)
             .with_knowledge(KnowledgeModel::PaperDelay)
@@ -2136,14 +2058,66 @@ mod tests {
         }
     }
 
+    /// The plan-cache counters are part of the shard contract: each shard
+    /// plans only its own classes' injections and the key includes the
+    /// source class, so hits, misses and entries equal the one-shard run's.
+    /// `GC(7, 4)` has four ending classes, so 3 and 4 threads run 3 and 4
+    /// shards.
     #[test]
     fn sharded_matches_sequential_with_plan_cache() {
-        let cached_a = CachedFtgcr::new();
-        let sim = Simulator::new(churn_config().with_faults(2), &cached_a);
-        let seq = sim.session().run();
-        let cached_b = CachedFtgcr::new();
-        let sim2 = Simulator::new(churn_config().with_faults(2), &cached_b);
-        let par = sim2.session().threads(4).run();
-        assert_eq!(seq, par, "cached strategy must shard deterministically");
+        for (n, m) in [(6, 2), (7, 4)] {
+            let run = |threads| {
+                let cached = CachedFtgcr::new();
+                let sim = Simulator::new(churn_config_on(n, m).with_faults(2), &cached);
+                let report = sim.session().threads(threads).run();
+                (report, cached.stats())
+            };
+            let (seq, seq_stats) = run(1);
+            assert!(
+                seq_stats.is_some_and(|s| s.hits > 0 && s.misses > 0),
+                "GC({n},{m}): the cache must be exercised: {seq_stats:?}"
+            );
+            for threads in [2, 3, 4] {
+                let (par, par_stats) = run(threads);
+                assert_eq!(seq, par, "GC({n},{m}): report at threads={threads}");
+                assert_eq!(
+                    seq_stats, par_stats,
+                    "GC({n},{m}): cache counters at threads={threads}"
+                );
+            }
+        }
+    }
+
+    /// Every shard replays the whole draw, suppressed destinations
+    /// included, and only the source's owner counts a suppressed draw:
+    /// bit-complement partners die and revive under node churn, on 3
+    /// shards owning 2, 1 and 1 ending classes.
+    #[test]
+    fn sharded_matches_sequential_with_suppressed_draws() {
+        use crate::traffic::TrafficPattern;
+        let cfg = churn_config_on(7, 4)
+            .with_pattern(TrafficPattern::BitComplement)
+            .with_schedule(FaultSchedule::Bernoulli {
+                rate: 0.02,
+                kind: FaultKind::Transient { repair_after: 60 },
+                mix: CategoryMix::default(),
+                node_fraction: 1.0,
+            });
+        let sim = Simulator::new(cfg, &FaultTolerantGcr);
+        assert_eq!(crate::session::effective_shards(sim.cube(), 3), 3);
+        let mut seq_sink = MemorySink::new();
+        let seq = sim.session().trace(&mut seq_sink).run();
+        assert!(
+            seq.metrics.suppressed_injections_total > 0,
+            "faulty complements must suppress draws"
+        );
+        let mut par_sink = MemorySink::new();
+        let par = sim.session().threads(3).trace(&mut par_sink).run();
+        assert_eq!(seq, par, "report mismatch at threads=3");
+        assert_eq!(
+            seq_sink.events(),
+            par_sink.events(),
+            "trace mismatch at threads=3"
+        );
     }
 }

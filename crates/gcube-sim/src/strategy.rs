@@ -28,17 +28,18 @@ pub struct PlannedRoute {
 ///
 /// # Concurrency contract
 ///
-/// The shard engine's work-stealing injection round calls
-/// [`plan_route`](Self::plan_route) from **every** worker thread
-/// concurrently (whole ending classes are stolen off an atomic cursor),
-/// and the engine guarantees bitwise-identical output for any thread
-/// count. Implementations must therefore make any interior mutability
-/// *interleaving-independent*: concurrent planning may not change what
-/// any call returns, and observable side counters (e.g.
-/// [`cache_stats`](Self::cache_stats)) must converge to the same totals
-/// regardless of which thread planned what. The vendored `PlanCache`
-/// is the model: its key space partitions by source ending class, and
-/// each key accounts exactly one miss under any interleaving.
+/// The shard engine calls [`plan_route`](Self::plan_route) from
+/// **every** worker thread concurrently: each shard plans the injections
+/// of the ending classes it owns, and the coordinator alone replans
+/// blocked packets while the workers wait. The engine guarantees
+/// bitwise-identical output for any thread count. Implementations must
+/// therefore make any interior mutability *interleaving-independent*:
+/// concurrent planning may not change what any call returns, and
+/// observable side counters (e.g. [`cache_stats`](Self::cache_stats))
+/// must converge to the same totals regardless of which thread planned
+/// what. `gcube_routing::PlanCache` is the model: its key space
+/// partitions by source ending class, and each key accounts exactly one
+/// miss under any interleaving.
 pub trait RoutingAlgorithm: Sync {
     /// Short name used in result tables.
     fn name(&self) -> &'static str;

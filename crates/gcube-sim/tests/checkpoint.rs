@@ -4,8 +4,10 @@
 //! and the final `ChurnReport` plus the composed trace stream (prefix
 //! recorded before the pause + suffix recorded after the restore) must be
 //! bitwise identical to the uninterrupted run, whichever of 1, 2 and 4
-//! threads captured and restored it. The checkpoint text itself must not
-//! depend on the capturing thread count.
+//! threads captured it and whichever of 1, 2, 3 and 4 restored it (3
+//! splits four ending classes unevenly, so each shard's replica of the
+//! traffic stream must restore on its own). The checkpoint text itself
+//! must not depend on the capturing thread count.
 //!
 //! This is the engine-level guarantee `gcube serve` builds its
 //! `snapshot`/`restore` requests on (DESIGN.md §16); the server's unit
@@ -163,7 +165,7 @@ fn check_round_trip(cfg: &SimConfig, multitree: bool, pause: u64) -> Result<(), 
             t1,
             pause
         );
-        for t2 in [1, 2, 4] {
+        for t2 in [1, 2, 3, 4] {
             let (resumed_report, resumed_events) = resume(cfg, multitree, &text, t2, &prefix);
             prop_assert_eq!(
                 &seq_report,
@@ -196,8 +198,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Checkpoint at a random cycle, restore, finish: report and trace
-    /// bitwise equal to the uninterrupted run for every capturing and
-    /// restoring thread count in {1, 2, 4}, and one checkpoint text.
+    /// bitwise equal to the uninterrupted run for every capturing thread
+    /// count in {1, 2, 4} and restoring thread count in {1, 2, 3, 4}, and
+    /// one checkpoint text.
     #[test]
     fn checkpoint_round_trip_is_bitwise(
         (cfg, multitree, pause) in (arb_config(), any::<bool>(), 1u64..140)

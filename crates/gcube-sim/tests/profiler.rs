@@ -74,13 +74,28 @@ fn sharded_profiling_reports_every_shard() {
         assert!(p.cycles > 0, "shard {s} must report its cycle count");
         assert!(p.run_nanos > 0, "shard {s} must report wall time");
     }
-    assert!(
-        prof.shard_profiles()
-            .iter()
-            .map(|&(_, p)| p.steal_units)
-            .sum::<u64>()
-            > 0,
-        "somebody must have claimed planning units"
+    // Each shard plans its own classes' attempts every injecting cycle,
+    // so the per-shard planning split is deterministic and sums to the
+    // global attempt count.
+    let ranges = gcube_sim::class_ranges(1 << sim2.cube().alpha(), expected);
+    let inject_cycles = sim2.config().inject_cycles;
+    for (&(s, p), &(lo, hi)) in prof.shard_profiles().iter().zip(&ranges) {
+        assert_eq!(
+            p.steal_units,
+            (hi - lo) as u64 * inject_cycles,
+            "shard {s} plans one unit per owned class per injecting cycle"
+        );
+    }
+    let planned: u64 = prof
+        .shard_profiles()
+        .iter()
+        .map(|&(_, p)| p.planned_reqs)
+        .sum();
+    assert!(planned > 0, "the run must inject");
+    assert_eq!(
+        planned,
+        prof.injected_total(),
+        "every attempt is planned once, by its source's owner"
     );
 }
 
