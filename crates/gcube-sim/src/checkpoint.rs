@@ -1092,6 +1092,9 @@ impl Checkpoint {
             }
         }
 
+        // Observers attached to the restored run count from here.
+        core.rebase_ledger();
+
         // Re-seed the collective tree cache, which every shard shares: a
         // regraft diffs against the cached previous tree, so both the
         // next repair outcome and the patched tree's shape depend on this

@@ -60,9 +60,7 @@ pub use injection::{
     TimedFault,
 };
 pub use metrics::{ChurnReport, Histogram, Metrics, OpStat, WindowStat};
-pub use profiler::{
-    NullProfiler, ProfSample, ProfileCollector, ProfileSample, ProfilerSink, ShardProfile,
-};
+pub use profiler::{NullProfiler, ProfileCollector, ProfileSample, ProfilerSink, ShardProfile};
 pub use proto::Request;
 pub use replay::{parse_jsonl, parse_jsonl_with_meta, verify_replay, ReplayError};
 pub use runner::{run_churn_sweep, run_sweep, ChurnPoint, SweepPoint};
@@ -74,7 +72,7 @@ pub use strategy::{
     MultiTreeStrategy, PlannedRoute, RoutingAlgorithm, TreeChoice, TreeHealth,
 };
 pub use telemetry::{
-    CycleView, FaultBudgetMonitor, HealthTransition, NullTelemetry, Phase, ShardTelemetry,
+    CycleView, FaultBudgetMonitor, HealthTransition, NullTelemetry, Phase, Tally,
     TelemetryCollector, TelemetrySample, TelemetrySink,
 };
 pub use trace::{

@@ -2,15 +2,16 @@
 //! family next to [`crate::trace::TraceSink`] and
 //! [`crate::telemetry::TelemetrySink`].
 //!
-//! The shard engine computes a number of quantities every cycle that it
-//! then throws away — how many injection requests were drawn, how many
-//! packets advanced, how the per-ending-class queues are balanced, how
-//! long each worker sat in the barrier versus doing work, how many
-//! class units and requests each shard planned, and how many
-//! packets/events crossed the exchange mailboxes. A
-//! [`ProfilerSink`] receives all of them; the engine monomorphises over
-//! the sink type so the [`NullProfiler`] path folds to dead code exactly
-//! like the other two sink families.
+//! A [`ProfilerSink`] reads the same end-of-cycle
+//! [`CycleView`] as telemetry: the injection attempts the cycle drew, its
+//! ledger difference (whose `forwarded_hops` is the cycle's moved
+//! packets), the per-ending-class queue snapshot and the plan-cache
+//! counters. On top of that it receives what only the profiler wants:
+//! wall-clock phase times, and per shard the barrier wait, the class
+//! units and requests it planned, and how many packets and events it
+//! sent through the exchange mailboxes. The engine monomorphises over the
+//! sink type so the [`NullProfiler`] path folds to dead code exactly like
+//! the other two sink families.
 //!
 //! # Deterministic vs report-only: the strict split
 //!
@@ -48,39 +49,11 @@ use std::fmt::Write as _;
 use gcube_routing::CacheStats;
 
 use crate::metrics::Histogram;
-use crate::telemetry::{Phase, NUM_PHASES};
+use crate::telemetry::{CycleView, Phase, NUM_PHASES};
 
 /// Ring capacity for retained per-window samples (matches the
 /// telemetry collector).
 pub const DEFAULT_PROFILE_RING: usize = 4096;
-
-/// One cycle's worth of deterministic counters, handed to
-/// [`ProfilerSink::cycle_sample`] at the end of every cycle.
-///
-/// Every field is identical for every thread count: the borrowed class
-/// slices are the same end-of-cycle snapshots the telemetry reduction
-/// folds, and `cache` is fetched at a quiescent point under both
-/// schedules.
-#[derive(Clone, Copy, Debug)]
-pub struct ProfSample<'a> {
-    /// Cycle index (0-based).
-    pub cycle: u64,
-    /// Injection attempts drawn this cycle, network-wide. They are
-    /// counted at packet-id assignment (suppressed draws get no id), so
-    /// every shard draws the same count at any thread count.
-    pub injected: u64,
-    /// Packets that advanced one hop this cycle (forwarded hops).
-    pub moved: u64,
-    /// Packets still queued somewhere at the end of the cycle.
-    pub in_flight: u64,
-    /// Queued packets per ending class at the end of the cycle.
-    pub class_queued: &'a [u64],
-    /// Nodes with a non-empty queue per ending class.
-    pub class_occupied: &'a [u64],
-    /// Plan-cache counters, present only on cycles where
-    /// [`ProfilerSink::wants_cache`] returned `true`.
-    pub cache: Option<CacheStats>,
-}
 
 /// Whole-run, per-shard counters published by each worker (and the
 /// coordinator, shard 0) when it exits. **Report-only**: the nano fields
@@ -145,8 +118,9 @@ pub trait ProfilerSink {
         false
     }
 
-    /// End-of-cycle deterministic counters.
-    fn cycle_sample(&mut self, _sample: &ProfSample<'_>) {}
+    /// End-of-cycle deterministic counters, from the view telemetry
+    /// receives too.
+    fn cycle_sample(&mut self, _view: &CycleView<'_>) {}
 
     /// Wall-clock time spent in `phase` (report-only).
     fn phase_time(&mut self, _phase: Phase, _nanos: u64) {}
@@ -155,8 +129,8 @@ pub trait ProfilerSink {
     /// schedule emits none; the multi-shard schedule emits one per shard.
     fn shard_profile(&mut self, _shard: usize, _profile: &ShardProfile) {}
 
-    /// The run ended after `cycles` cycles on `shards` shards.
-    fn finish_run(&mut self, _cycles: u64, _shards: usize) {}
+    /// The run ended; it ran on `shards` shards.
+    fn finish_run(&mut self, _shards: usize) {}
 }
 
 /// Disabled profiler: all hooks compile away.
@@ -179,8 +153,8 @@ impl<P: ProfilerSink + ?Sized> ProfilerSink for &mut P {
     fn wants_cache(&self, cycle: u64) -> bool {
         (**self).wants_cache(cycle)
     }
-    fn cycle_sample(&mut self, sample: &ProfSample<'_>) {
-        (**self).cycle_sample(sample)
+    fn cycle_sample(&mut self, view: &CycleView<'_>) {
+        (**self).cycle_sample(view)
     }
     fn phase_time(&mut self, phase: Phase, nanos: u64) {
         (**self).phase_time(phase, nanos)
@@ -188,8 +162,8 @@ impl<P: ProfilerSink + ?Sized> ProfilerSink for &mut P {
     fn shard_profile(&mut self, shard: usize, profile: &ShardProfile) {
         (**self).shard_profile(shard, profile)
     }
-    fn finish_run(&mut self, cycles: u64, shards: usize) {
-        (**self).finish_run(cycles, shards)
+    fn finish_run(&mut self, shards: usize) {
+        (**self).finish_run(shards)
     }
 }
 
@@ -298,7 +272,8 @@ impl ProfileCollector {
         self.dropped_samples
     }
 
-    /// Cycles observed.
+    /// Cycles observed (a profiler attached to a restored run observes
+    /// only the cycles after the checkpoint).
     pub fn cycles(&self) -> u64 {
         self.cycles
     }
@@ -318,8 +293,8 @@ impl ProfileCollector {
         self.max_in_flight
     }
 
-    /// Mean per-cycle load-imbalance factor in milli-units (1000 =
-    /// perfectly balanced).
+    /// Mean per-cycle load-imbalance factor over the observed cycles, in
+    /// milli-units (1000 = perfectly balanced, and never less).
     pub fn imbalance_avg_milli(&self) -> u64 {
         if self.cycles == 0 {
             1000
@@ -512,30 +487,31 @@ impl ProfilerSink for ProfileCollector {
         (cycle + 1).is_multiple_of(self.interval)
     }
 
-    fn cycle_sample(&mut self, sample: &ProfSample<'_>) {
-        self.cycles = self.cycles.max(sample.cycle + 1);
-        self.win_injected += sample.injected;
-        self.win_moved += sample.moved;
-        self.injected_total += sample.injected;
-        self.moved_total += sample.moved;
-        self.max_in_flight = self.max_in_flight.max(sample.in_flight);
-        self.moved_hist.record(log2_bucket(sample.moved));
-        self.in_flight_hist.record(log2_bucket(sample.in_flight));
-        let queued_total: u64 = sample.class_queued.iter().sum();
-        let queued_max = sample.class_queued.iter().copied().max().unwrap_or(0);
+    fn cycle_sample(&mut self, view: &CycleView<'_>) {
+        let moved = view.ledger.forwarded_hops;
+        self.cycles += 1;
+        self.win_injected += view.attempts;
+        self.win_moved += moved;
+        self.injected_total += view.attempts;
+        self.moved_total += moved;
+        self.max_in_flight = self.max_in_flight.max(view.in_flight);
+        self.moved_hist.record(log2_bucket(moved));
+        self.in_flight_hist.record(log2_bucket(view.in_flight));
+        let queued_total: u64 = view.class_queued.iter().sum();
+        let queued_max = view.class_queued.iter().copied().max().unwrap_or(0);
         let imb = self.imbalance_milli(queued_total, queued_max);
         self.imb_sum_milli += imb as u128;
         self.imb_max_milli = self.imb_max_milli.max(imb);
-        if (sample.cycle + 1).is_multiple_of(self.interval) {
-            let cache = sample.cache.unwrap_or(self.last_cache);
+        if (view.cycle + 1).is_multiple_of(self.interval) {
+            let cache = view.cache.unwrap_or(self.last_cache);
             let row = ProfileSample {
-                cycle: sample.cycle,
+                cycle: view.cycle,
                 injected: self.win_injected,
                 moved: self.win_moved,
-                in_flight: sample.in_flight,
+                in_flight: view.in_flight,
                 queued_total,
                 queued_max,
-                occupied_total: sample.class_occupied.iter().sum(),
+                occupied_total: view.class_occupied.iter().sum(),
                 imbalance_milli: imb,
                 cache_hits: cache.hits - self.last_cache.hits,
                 cache_misses: cache.misses - self.last_cache.misses,
@@ -560,8 +536,7 @@ impl ProfilerSink for ProfileCollector {
         self.shard_profiles.push((shard, *profile));
     }
 
-    fn finish_run(&mut self, cycles: u64, shards: usize) {
-        self.cycles = cycles;
+    fn finish_run(&mut self, shards: usize) {
         self.shards = shards;
         self.shard_profiles.sort_by_key(|(s, _)| *s);
     }
@@ -596,24 +571,36 @@ fn exp2_label(p: Option<u64>) -> u64 {
 mod tests {
     use super::*;
 
-    fn sample<'a>(
+    use crate::telemetry::Tally;
+    use gcube_routing::HealthState;
+
+    /// Feed one cycle: `injected` attempts, `moved` forwarded hops.
+    #[allow(clippy::too_many_arguments)]
+    fn feed(
+        c: &mut ProfileCollector,
         cycle: u64,
         injected: u64,
         moved: u64,
         in_flight: u64,
-        cq: &'a [u64],
-        co: &'a [u64],
+        cq: &[u64],
+        co: &[u64],
         cache: Option<CacheStats>,
-    ) -> ProfSample<'a> {
-        ProfSample {
+    ) {
+        let ledger = Tally {
+            forwarded_hops: moved,
+            ..Tally::default()
+        };
+        c.cycle_sample(&CycleView {
             cycle,
-            injected,
-            moved,
-            in_flight,
+            attempts: injected,
+            ledger: &ledger,
             class_queued: cq,
             class_occupied: co,
+            in_flight,
+            health: HealthState::Healthy,
+            live_faults: 0,
             cache,
-        }
+        });
     }
 
     #[test]
@@ -643,14 +630,14 @@ mod tests {
         let co = [2, 1, 0, 0];
         assert!(!c.wants_cache(0));
         assert!(c.wants_cache(1));
-        c.cycle_sample(&sample(0, 5, 2, 5, &cq, &co, None));
+        feed(&mut c, 0, 5, 2, 5, &cq, &co, None);
         assert_eq!(c.samples().count(), 0, "window still open");
         let cache = CacheStats {
             hits: 7,
             misses: 3,
             entries: 2,
         };
-        c.cycle_sample(&sample(1, 1, 4, 6, &cq, &co, Some(cache)));
+        feed(&mut c, 1, 1, 4, 6, &cq, &co, Some(cache));
         let rows: Vec<_> = c.samples().copied().collect();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].cycle, 1);
@@ -674,7 +661,7 @@ mod tests {
     fn empty_network_counts_as_balanced() {
         let mut c = ProfileCollector::new(8, 1);
         let cq = [0u64; 8];
-        c.cycle_sample(&sample(0, 0, 0, 0, &cq, &cq, None));
+        feed(&mut c, 0, 0, 0, 0, &cq, &cq, None);
         assert_eq!(c.imbalance_avg_milli(), 1000);
         assert_eq!(c.imbalance_max_milli(), 1000);
     }
@@ -685,7 +672,7 @@ mod tests {
         c.ring_capacity = 3;
         let cq = [1, 0];
         for cycle in 0..5 {
-            c.cycle_sample(&sample(cycle, 1, 1, 1, &cq, &cq, None));
+            feed(&mut c, cycle, 1, 1, 1, &cq, &cq, None);
         }
         assert_eq!(c.samples().count(), 3);
         assert_eq!(c.dropped_samples(), 2);
@@ -696,7 +683,7 @@ mod tests {
     fn deterministic_jsonl_excludes_wall_clock() {
         let mut c = ProfileCollector::new(2, 1);
         let cq = [2, 2];
-        c.cycle_sample(&sample(0, 4, 3, 4, &cq, &cq, None));
+        feed(&mut c, 0, 4, 3, 4, &cq, &cq, None);
         c.phase_time(Phase::Forwarding, 123_456);
         c.shard_profile(
             1,
@@ -726,7 +713,7 @@ mod tests {
     fn report_renders_shard_table_and_phase_split() {
         let mut c = ProfileCollector::new(2, 1);
         let cq = [1, 1];
-        c.cycle_sample(&sample(0, 2, 2, 2, &cq, &cq, None));
+        feed(&mut c, 0, 2, 2, 2, &cq, &cq, None);
         c.phase_time(Phase::Planning, 1_000_000);
         c.shard_profile(
             0,
@@ -739,7 +726,7 @@ mod tests {
                 ..ShardProfile::default()
             },
         );
-        c.finish_run(1, 2);
+        c.finish_run(2);
         let report = c.report();
         assert!(report.contains("phase split (wall clock, report-only)"));
         assert!(report.contains("per-shard split (report-only)"));
@@ -759,9 +746,23 @@ mod tests {
         c.shard_profile(2, &ShardProfile::default());
         c.shard_profile(0, &ShardProfile::default());
         c.shard_profile(1, &ShardProfile::default());
-        c.finish_run(10, 3);
+        c.finish_run(3);
         let order: Vec<usize> = c.shard_profiles().iter().map(|(s, _)| *s).collect();
         assert_eq!(order, vec![0, 1, 2]);
-        assert_eq!(c.cycles(), 10);
+        assert_eq!(c.cycles(), 0, "finishing observes no cycle");
+    }
+
+    /// A profiler attached mid-run (a restored run) counts and averages
+    /// only the cycles it observed.
+    #[test]
+    fn cycles_and_imbalance_cover_only_observed_cycles() {
+        let mut c = ProfileCollector::new(2, 10);
+        let cq = [1, 1];
+        for cycle in 175..180 {
+            feed(&mut c, cycle, 1, 1, 2, &cq, &cq, None);
+        }
+        c.finish_run(1);
+        assert_eq!(c.cycles(), 5);
+        assert_eq!(c.imbalance_avg_milli(), 1000);
     }
 }

@@ -1104,6 +1104,46 @@ mod tests {
         parse_ok(&server.handle_line(&open_line("x", &scripted(63, 5))));
     }
 
+    /// A multitree tree count outside `1..=MAX_TREES` is refused at `open`
+    /// (`bad_request`) and at `restore` (`checkpoint_mismatch`); it used
+    /// to be admitted and panic the session's first step. The daemon keeps
+    /// serving: a valid multitree session opens and steps afterwards.
+    #[test]
+    fn multitree_tree_count_is_checked_at_open_and_restore() {
+        let dir = Scratch::new("trees");
+        let server = Server::new(ServerConfig::default());
+        let open = |session: &str, trees: usize| {
+            format!(
+                "{{\"op\":\"open\",\"session\":\"{session}\",\"strategy\":\"multitree\",\
+                 \"trees\":{trees},\"config\":{}}}",
+                config_to_json(&cfg())
+            )
+        };
+        for trees in [0, 5] {
+            assert_eq!(
+                code_of(&server.handle_line(&open("m", trees))),
+                "bad_request"
+            );
+        }
+        parse_ok(&server.handle_line(&open("m", 2)));
+        parse_ok(&server.handle_line(r#"{"op":"step","session":"m","cycles":200}"#));
+        let ck_path = dir.path("trees.ck");
+        parse_ok(&server.handle_line(&format!(
+            r#"{{"op":"snapshot","session":"m","path":"{ck_path}"}}"#
+        )));
+        let text = std::fs::read_to_string(&ck_path).unwrap();
+        assert!(text.contains("\"trees\":2,"), "{text}");
+        std::fs::write(&ck_path, text.replace("\"trees\":2,", "\"trees\":5,")).unwrap();
+        for session in ["m", "fresh"] {
+            let restore = format!(r#"{{"op":"restore","session":"{session}","path":"{ck_path}"}}"#);
+            assert_eq!(
+                code_of(&server.handle_line(&restore)),
+                "checkpoint_mismatch"
+            );
+        }
+        parse_ok(&server.handle_line(r#"{"op":"step","session":"m","cycles":10}"#));
+    }
+
     /// With every permit held, a cycle-advancing request gives up after
     /// `PERMIT_WAIT` with `overloaded`; once a permit is free, the same
     /// request succeeds.

@@ -33,12 +33,18 @@
 //!    order against the coordinator's view: the observed failure enters
 //!    the view, then the packet is replanned in place or dropped (TTL,
 //!    re-route budget, no route).
-//! 7. **Observer sampling.** Per-cycle telemetry deltas and ending-class
-//!    snapshots are folded into the attached telemetry sink and profiler.
+//! 7. **Observer sampling.** The coordinator sums every shard's running
+//!    ledger, takes the difference from the previous cycle's sum, and
+//!    hands it with the ending-class snapshots to the attached telemetry
+//!    sink and profiler in one [`CycleView`].
 //!
-//! Metrics and windows are additive per shard. Trace events are buffered
-//! under a `(stream, index, seq)` key and emitted in key order, so the
-//! narration does not depend on which shard produced an event.
+//! Metrics and windows are additive per shard. A shard's ledger is its
+//! [`Metrics`] plus the three counts `Metrics` lacks (hops per dimension,
+//! reroutes, stale views); nothing else in the kernel counts a packet
+//! event, so the observers cannot disagree with the report. Trace events
+//! are buffered under a `(stream, index, seq)` key and emitted in key
+//! order, so the narration does not depend on which shard produced an
+//! event.
 //!
 //! # One driver, two schedules
 //!
@@ -77,9 +83,9 @@
 //!     verdicts plus the ordered view mutations, which every replica
 //!     applies.
 //!   - **Round D** (observers, only with telemetry or a profiler): shards
-//!     publish their deltas and class snapshots; the coordinator folds and
-//!     samples them between two barriers, while the plan caches are
-//!     quiescent.
+//!     publish their running ledger totals and class snapshots; the
+//!     coordinator sums and samples them between two barriers, while the
+//!     plan caches are quiescent.
 //!
 //! The outputs are bitwise identical for every thread count, and so is
 //! where a run stops between calls: every cycle ends with every shard's
@@ -104,10 +110,10 @@ use crate::metrics::{
     merge_ops, merge_windows, ChurnReport, Metrics, OpStat, WindowStat, MAX_TREES,
 };
 use crate::packet::Packet;
-use crate::profiler::{ProfSample, ProfilerSink, ShardProfile};
+use crate::profiler::{ProfilerSink, ShardProfile};
 use crate::soa::{NodeQueues, PacketStore};
 use crate::strategy::{PlannedRoute, TreeChoice};
-use crate::telemetry::{CycleView, FaultBudgetMonitor, Phase, ShardTelemetry, TelemetrySink};
+use crate::telemetry::{CycleView, FaultBudgetMonitor, Phase, Tally, TelemetrySink};
 use crate::trace::{DropCause, TraceEvent, TraceEventKind, TraceSink, NETWORK_EVENT_PACKET};
 use crate::traffic::TrafficGen;
 
@@ -268,10 +274,10 @@ enum Verdict {
     Drop,
 }
 
-/// Round D cell: a worker's per-cycle counter delta and ending-class
-/// snapshot, copied into pre-sized buffers (no per-window clones).
-struct TelemetryCell {
-    delta: ShardTelemetry,
+/// Round D cell: a worker's running ledger totals and ending-class
+/// snapshot, copied into pre-sized buffers (no per-cycle allocation).
+struct LedgerCell {
+    totals: Tally,
     class_queued: Vec<u64>,
     class_occupied: Vec<u64>,
 }
@@ -306,16 +312,12 @@ pub(crate) struct Exchange {
     events: [Vec<EventCell>; 2],
     /// Per-sender in-flight contributions for the cooperative exit test.
     contrib: [Vec<AtomicU64>; 2],
-    /// Per-sender forwarded-hop counts for the profiler's deterministic
-    /// `moved` counter, published alongside `contrib`. Written only when
-    /// a profiler is attached.
-    hops: [Vec<AtomicU64>; 2],
     /// Round C broadcast: per-shard verdicts plus the shared ordered
     /// view-op list (read in place by every worker).
     verdicts: Vec<Mutex<Vec<(u32, Verdict)>>>,
     view_ops: Mutex<Vec<ViewOp>>,
     verdict_drops: AtomicU64,
-    telemetry: Vec<Mutex<TelemetryCell>>,
+    ledgers: Vec<Mutex<LedgerCell>>,
 }
 
 impl Exchange {
@@ -323,24 +325,20 @@ impl Exchange {
         fn cells<T>(count: usize) -> Vec<Mutex<Vec<T>>> {
             (0..count).map(|_| Mutex::new(Vec::new())).collect()
         }
-        fn counters(count: usize) -> [Vec<AtomicU64>; 2] {
-            [0, 1].map(|_| (0..count).map(|_| AtomicU64::new(0)).collect())
-        }
         Exchange {
             barrier: SpinBarrier::new(shards),
             shards,
             moves: [cells(shards * shards), cells(shards * shards)],
             candidates: cells(shards),
             events: [cells(shards), cells(shards)],
-            contrib: counters(shards),
-            hops: counters(shards),
+            contrib: [0, 1].map(|_| (0..shards).map(|_| AtomicU64::new(0)).collect()),
             verdicts: cells(shards),
             view_ops: Mutex::new(Vec::new()),
             verdict_drops: AtomicU64::new(0),
-            telemetry: (0..shards)
+            ledgers: (0..shards)
                 .map(|_| {
-                    Mutex::new(TelemetryCell {
-                        delta: ShardTelemetry::new(n_dims),
+                    Mutex::new(LedgerCell {
+                        totals: Tally::new(n_dims),
                         class_queued: vec![0; classes],
                         class_occupied: vec![0; classes],
                     })
@@ -385,8 +383,8 @@ struct CycleStart {
 /// One node range's state and the kernel's per-cycle phases over it:
 /// its packets and queues, its replicas of the truth, view, fault
 /// injector, traffic generator and packet-id counter, and its additive
-/// share of the run's metrics, windows, collective records, telemetry
-/// delta and trace events.
+/// share of the run's ledger, windows, collective records and trace
+/// events.
 pub(crate) struct Shard {
     me: usize,
     /// Ending class → owning shard.
@@ -417,6 +415,16 @@ pub(crate) struct Shard {
     /// Finite buffers (one-shard runs only; sharded runs refuse them).
     capacity: Option<usize>,
     pub(crate) metrics: Metrics,
+    // The three ledger counts `metrics` lacks. They stay out of the report
+    // and the checkpoint, so a restored run counts them from zero.
+    /// Link traversals per dimension, summing to the hops this shard
+    /// added to `metrics.forwarded_hops_total` since the run (or its
+    /// restore) began.
+    dim_hops: Vec<u64>,
+    /// Packets re-planned in place by recovery.
+    reroutes: u64,
+    /// Planned hops that recovery found dead in the truth.
+    stale_views: u64,
     pub(crate) windows: Vec<WindowStat>,
     /// The collective planner; every shard's planner wraps the same tree
     /// cache (the plan is replicated, so cache races only ever produce
@@ -427,14 +435,12 @@ pub(crate) struct Shard {
     /// positionally by [`Coordinator::reduce`].
     pub(crate) op_tracker: OpTracker,
     tracing_on: bool,
-    telemetry_on: bool,
+    /// Telemetry or a profiler is attached: Round D runs.
+    sampling_on: bool,
     profiling_on: bool,
-    delta: ShardTelemetry,
     events: Vec<(u64, TraceEvent)>,
     /// Whole-run report-only profiler counters for this shard.
     profile: ShardProfile,
-    /// Forwarded hops this cycle (profiler's deterministic `moved`).
-    cycle_hops: u64,
     /// Scratch for occupancy-bitset scans (stranding and forwarding).
     scan_buf: Vec<u32>,
     /// `(service index, slot)` of this cycle's forwarded packets in scan
@@ -502,6 +508,9 @@ impl Shard {
             reroute_budget: cfg.reroute_budget,
             capacity: cfg.buffer_capacity,
             metrics: Metrics::default(),
+            dim_hops: vec![0; sim.gc.n() as usize],
+            reroutes: 0,
+            stale_views: 0,
             windows: Vec::new(),
             collective: collective_cache.map(|cache| {
                 CollectivePlanner::new(
@@ -514,12 +523,10 @@ impl Shard {
             }),
             op_tracker: OpTracker::new(),
             tracing_on: false,
-            telemetry_on: false,
+            sampling_on: false,
             profiling_on: false,
-            delta: ShardTelemetry::new(sim.gc.n() as usize),
             events: Vec::new(),
             profile: ShardProfile::default(),
-            cycle_hops: 0,
             scan_buf: Vec::new(),
             moves: Vec::new(),
             out_moves: (0..shards).map(|_| Vec::new()).collect(),
@@ -536,11 +543,35 @@ impl Shard {
         }
     }
 
-    /// Which observers are attached: each gates its own accounting.
-    fn observe(&mut self, tracing: bool, telemetry: bool, profiling: bool) {
+    /// Which observers are attached: tracing buffers events, telemetry
+    /// or a profiler runs Round D, and a profiler times barriers.
+    fn observe(&mut self, tracing: bool, sampling: bool, profiling: bool) {
         self.tracing_on = tracing;
-        self.telemetry_on = telemetry;
+        self.sampling_on = sampling;
         self.profiling_on = profiling;
+    }
+
+    /// Add this shard's running ledger into `t`: the `Metrics` counts
+    /// telemetry reads, and the three kept beside them.
+    fn add_ledger(&self, t: &mut Tally) {
+        let m = &self.metrics;
+        for (a, &b) in t.dim_hops.iter_mut().zip(&self.dim_hops) {
+            *a += b;
+        }
+        t.forwarded_hops += m.forwarded_hops_total;
+        t.injected += m.injected_total;
+        t.delivered += m.delivered_total;
+        t.collective_delivered += m.collective_delivered;
+        t.dropped += m.dropped_total;
+        t.reroutes += self.reroutes;
+        t.stale_views += self.stale_views;
+        t.stale_cycles += m.stale_cycles;
+        t.fault_events += m.fault_events;
+        t.reconvergences += m.reconvergences;
+        t.tree_switches += m.tree_switches;
+        t.tree_exhausted += m.tree_exhausted;
+        t.tree_regrafts += m.tree_regrafts;
+        t.tree_rebuilds += m.tree_rebuilds;
     }
 
     /// Buffer one trace event under its merge key (tracing only).
@@ -687,9 +718,6 @@ impl Shard {
             }
             self.metrics.injected_total += 1;
             self.metrics.collective_injected += 1;
-            if self.telemetry_on {
-                self.delta.injected += 1;
-            }
             self.windows[widx].injected += 1;
             let kind = TraceEventKind::Inject {
                 dst: pkt.route.dest(),
@@ -793,9 +821,6 @@ impl Shard {
         let key = |seq| ekey(SUB_INJECT, src.0, seq);
         let planned_hops = planned.path.hops() as u64;
         self.metrics.injected_total += 1;
-        if self.telemetry_on {
-            self.delta.injected += 1;
-        }
         if measuring {
             self.metrics.injected += 1;
         }
@@ -809,9 +834,6 @@ impl Shard {
             // src == dst cannot happen (pick_dest), but a zero-hop route
             // would sink immediately, without ever touching the arena.
             self.metrics.delivered_total += 1;
-            if self.telemetry_on {
-                self.delta.delivered += 1;
-            }
             if measuring {
                 self.metrics.delivered += 1;
                 self.metrics.latency_hist.record(0);
@@ -831,8 +853,8 @@ impl Shard {
 
     /// Account one planned route's tree choice (multitree strategies
     /// only): whole-run per-tree counters, the switch/exhaustion ledgers,
-    /// the window series, the telemetry delta, and — for a switch or an
-    /// exhaustion — a `tree_switch` event under `key`.
+    /// the window series, and — for a switch or an exhaustion — a
+    /// `tree_switch` event under `key`.
     fn account_tree_choice(&mut self, cycle: u64, key: u64, id: u64, node: NodeId, tc: TreeChoice) {
         if tc.exhausted {
             self.metrics.tree_exhausted += 1;
@@ -842,10 +864,6 @@ impl Shard {
         self.metrics.tree_switches += u64::from(tc.switches);
         let widx = self.widx;
         self.windows[widx].tree_switches += u64::from(tc.switches);
-        if self.telemetry_on {
-            self.delta.tree_switches += u64::from(tc.switches);
-            self.delta.tree_exhausted += u64::from(tc.exhausted);
-        }
         if tc.switches > 0 || tc.exhausted {
             let kind = TraceEventKind::TreeSwitch {
                 tree: tc.tree,
@@ -869,9 +887,6 @@ impl Shard {
         let widx = self.widx;
         self.windows[widx].dropped += 1;
         self.metrics.dropped_total += 1;
-        if self.telemetry_on {
-            self.delta.dropped += 1;
-        }
         if is_collective(pkt.id) {
             // Collective packets keep the whole-run and window ledgers
             // but stay out of the measured unicast drop taxonomy.
@@ -903,16 +918,10 @@ impl Shard {
         let hops = u64::from(self.store.hops_taken[su]);
         let widx = self.widx;
         self.metrics.delivered_total += 1;
-        if self.telemetry_on {
-            self.delta.delivered += 1;
-        }
         self.windows[widx].delivered += 1;
         if is_collective(id) {
             self.metrics.collective_delivered += 1;
             self.windows[widx].collective_delivered += 1;
-            if self.telemetry_on {
-                self.delta.collective_delivered += 1;
-            }
             self.op_tracker.deliver(id, cycle);
         } else if cycle >= self.warmup && injected_at >= self.warmup {
             self.metrics.delivered += 1;
@@ -1005,15 +1014,9 @@ impl Shard {
                     self.arriving[t] += 1;
                 }
             }
-            // Unconditional whole-run hop ledger: the telemetry
-            // per-dimension counters must reconcile with it exactly.
+            // The whole-run hop ledger and its per-dimension split.
             self.metrics.forwarded_hops_total += 1;
-            if self.telemetry_on {
-                self.delta.dim_hops[dim as usize] += 1;
-            }
-            if self.profiling_on {
-                self.cycle_hops += 1;
-            }
+            self.dim_hops[dim as usize] += 1;
             let slot = self.pop_head(v);
             self.store.advance(slot, to);
             if self.tracing_on {
@@ -1130,9 +1133,7 @@ impl Shard {
             ViewOp::Link(LinkId::new(from, (from.0 ^ to.0).trailing_zeros()))
         };
         self.apply_view_ops(&[op]);
-        if self.telemetry_on {
-            self.delta.stale_views += 1;
-        }
+        self.stale_views += 1;
         // The packet was planned against knowledge that missed this fault.
         self.trace(
             key(0),
@@ -1151,9 +1152,7 @@ impl Shard {
                 .plan_route(&sim.gc, &self.view, from, pkt.dest())
             {
                 Ok(planned) => {
-                    if self.telemetry_on {
-                        self.delta.reroutes += 1;
-                    }
+                    self.reroutes += 1;
                     let budget_left = self.reroute_budget - (pkt.reroutes + 1);
                     self.trace(
                         key(1),
@@ -1216,9 +1215,8 @@ impl Shard {
     }
 
     /// Round B, before its barrier: publish this cycle's cross-shard
-    /// moves, blocked heads, trace events, in-flight contribution
-    /// (queued packets, own moves still to push, and outgoing moves) and
-    /// forwarded-hop count.
+    /// moves, blocked heads, trace events and in-flight contribution
+    /// (queued packets, own moves still to push, and outgoing moves).
     fn publish(&mut self, ex: &Exchange, parity: usize) {
         let me = self.me;
         let outgoing: u64 = self.out_moves.iter().map(|m| m.len() as u64).sum();
@@ -1226,7 +1224,6 @@ impl Shard {
             self.profile.moves_self += self.moves.len() as u64;
             self.profile.moves_out += outgoing;
             self.profile.events_out += self.events.len() as u64;
-            ex.hops[parity][me].store(mem::take(&mut self.cycle_hops), Ordering::Relaxed);
         }
         let contrib = self.queued() + self.moves.len() as u64 + outgoing;
         ex.contrib[parity][me].store(contrib, Ordering::Relaxed);
@@ -1271,15 +1268,16 @@ impl Shard {
         }
     }
 
-    /// Round D, before its first barrier: copy the counter delta and the
-    /// owned class-range snapshot into this shard's pre-sized cell.
-    fn publish_telemetry(&mut self, ex: &Exchange) {
+    /// Round D, before its first barrier: copy the running ledger totals
+    /// and the owned class-range snapshot into this shard's pre-sized
+    /// cell.
+    fn publish_ledger(&self, ex: &Exchange) {
         let (lo, hi) = self.class_range;
-        let mut cell = lock(&ex.telemetry[self.me]);
-        cell.delta.copy_from(&self.delta);
+        let mut cell = lock(&ex.ledgers[self.me]);
+        cell.totals.clear();
+        self.add_ledger(&mut cell.totals);
         cell.class_queued[lo..hi].copy_from_slice(&self.class_queued[lo..hi]);
         cell.class_occupied[lo..hi].copy_from_slice(&self.class_occupied[lo..hi]);
-        self.delta.reset();
     }
 
     /// One cycle of a worker shard: the kernel's phases over its own
@@ -1312,8 +1310,8 @@ impl Shard {
             self.apply_view_ops(&lock(&ex.view_ops));
             self.apply_verdicts(ex, cycle);
         }
-        if self.telemetry_on || self.profiling_on {
-            self.publish_telemetry(ex);
+        if self.sampling_on {
+            self.publish_ledger(ex);
             self.barrier_wait(ex); // Round D: all cells published.
             self.barrier_wait(ex); // Round D: coordinator folded and sampled.
         }
@@ -1359,6 +1357,13 @@ pub(crate) struct Coordinator {
     /// Global end-of-cycle class snapshots, assembled in Round D.
     global_cq: Vec<u64>,
     global_co: Vec<u64>,
+    /// The network-wide ledger totals at the end of the last observed
+    /// cycle: zero for a fresh run, the restored totals after a restore.
+    /// A stepper's observers are fixed for its life, so no cycle goes
+    /// unobserved between two observed ones.
+    ledger_base: Tally,
+    /// The last observed cycle's network-wide ledger difference.
+    ledger_diff: Tally,
 }
 
 impl Coordinator {
@@ -1377,7 +1382,8 @@ impl Coordinator {
         let mut shard = Shard::new(sim, 0, shards, collective_cache.clone());
         shard.metrics.nodes = sim.gc.num_nodes();
         let classes = shard.cmask + 1;
-        let ex = (shards > 1).then(|| Exchange::new(shards, classes, sim.gc.n() as usize));
+        let n_dims = sim.gc.n() as usize;
+        let ex = (shards > 1).then(|| Exchange::new(shards, classes, n_dims));
         let workers = (1..shards)
             .map(|me| Shard::new(sim, me, shards, collective_cache.clone()))
             .collect();
@@ -1414,6 +1420,18 @@ impl Coordinator {
             ranges: class_ranges(classes, shards),
             global_cq: vec![0; classes],
             global_co: vec![0; classes],
+            ledger_base: Tally::new(n_dims),
+            ledger_diff: Tally::new(n_dims),
+        }
+    }
+
+    /// Take the shards' current ledger totals as the baseline of the next
+    /// observed cycle's difference. A restored run calls this once, so
+    /// its observers count only the cycles after the checkpoint.
+    pub(crate) fn rebase_ledger(&mut self) {
+        self.ledger_base.clear();
+        for shard in std::iter::once(&self.shard).chain(&self.workers) {
+            shard.add_ledger(&mut self.ledger_base);
         }
     }
 
@@ -1478,10 +1496,11 @@ impl Coordinator {
         };
         let mut workers = mem::take(&mut self.workers);
         let (start, count) = (self.cycle, cycles.min(total_cycles - self.cycle));
-        let (tracing, telemetry, profiling) = (sink.enabled(), telem.enabled(), prof.enabled());
+        let (tracing, profiling) = (sink.enabled(), prof.enabled());
+        let sampling = telem.enabled() || profiling;
         std::thread::scope(|scope| {
             for w in &mut workers {
-                w.observe(tracing, telemetry, profiling);
+                w.observe(tracing, sampling, profiling);
                 let ex = &ex;
                 scope.spawn(move || {
                     let _poison = PoisonOnUnwind(&ex.barrier);
@@ -1525,8 +1544,7 @@ impl Coordinator {
         // Phase timers are wall-clock and report-only; they run when
         // either a telemetry sink or a profiler is attached.
         let timing = telemetry_on || profiling_on;
-        self.shard
-            .observe(sink.enabled(), telemetry_on, profiling_on);
+        self.shard.observe(sink.enabled(), timing, profiling_on);
         if profiling_on {
             self.shard.profile.cycles = cycle + 1;
         }
@@ -1537,7 +1555,6 @@ impl Coordinator {
         let start = self.shard.begin_cycle(sim, cycle);
         if start.applied > 0 {
             self.shard.metrics.fault_events += start.applied as u64;
-            telem.fault_events(start.applied as u64);
             // Re-classify against the Theorem 3 budget only when the
             // fault set actually changed.
             if let Some((from, to)) = self.monitor.update(&sim.gc, &self.shard.truth) {
@@ -1554,10 +1571,8 @@ impl Coordinator {
         }
         if start.reconverged {
             self.shard.metrics.reconvergences += 1;
-            telem.reconvergence();
         } else if start.stale {
             self.shard.metrics.stale_cycles += 1;
-            telem.stale_cycle();
         }
         lap(started, Phase::Reconvergence, telem, prof);
 
@@ -1578,7 +1593,6 @@ impl Coordinator {
                             m.tree_regrafts += 1;
                         }
                         m.tree_lost_nodes += rep.lost_nodes;
-                        telem.tree_repair(rep.rebuilt);
                         let kind = TraceEventKind::TreeRepair {
                             regrafted: rep.regrafted_subtrees,
                             reattached: rep.reattached_nodes,
@@ -1594,7 +1608,7 @@ impl Coordinator {
                 None => self.shard.metrics.collective_skipped += 1,
             }
         }
-        let cycle_injected = if cycle < cfg.inject_cycles {
+        let attempts = if cycle < cfg.inject_cycles {
             self.shard.inject(sim, cycle)
         } else {
             0
@@ -1605,13 +1619,10 @@ impl Coordinator {
         let started = timing.then(Instant::now);
         self.shard.scan(sim, cycle, ex.is_none());
         self.shard.drain_moves(cycle);
-        let cycle_moved = match ex {
-            None => {
-                self.in_flight = self.shard.queued();
-                mem::take(&mut self.shard.cycle_hops)
-            }
+        match ex {
+            None => self.in_flight = self.shard.queued(),
             Some(ex) => self.exchange(sim, ex, cycle),
-        };
+        }
         // Emit the cycle's events in merge-key order.
         if sink.enabled() {
             if let Some(ex) = ex {
@@ -1633,43 +1644,32 @@ impl Coordinator {
         // and cycle-exact.
         if timing {
             let sample_started = Instant::now();
-            if telemetry_on {
-                telem.absorb_shard(&self.shard.delta);
-            }
-            self.shard.delta.reset();
-            if let Some(ex) = ex {
-                self.fold_round_d(ex, telem);
-            }
+            self.read_ledger(ex);
             // One cache fetch serves both consumers.
-            let want_telem_cache = telemetry_on && telem.wants_sample(cycle);
-            let want_prof_cache = profiling_on && prof.wants_cache(cycle);
-            let cache = if want_telem_cache || want_prof_cache {
+            let cache = if (telemetry_on && telem.wants_sample(cycle))
+                || (profiling_on && prof.wants_cache(cycle))
+            {
                 sim.algorithm.cache_stats()
             } else {
                 None
             };
             let (class_queued, class_occupied) = self.class_snapshot();
+            let view = CycleView {
+                cycle,
+                attempts,
+                ledger: &self.ledger_diff,
+                class_queued,
+                class_occupied,
+                in_flight: self.in_flight,
+                health: self.monitor.state(),
+                live_faults: self.shard.truth.len() as u64,
+                cache,
+            };
             if telemetry_on {
-                telem.end_cycle(CycleView {
-                    cycle,
-                    class_queued,
-                    class_occupied,
-                    in_flight: self.in_flight,
-                    health: self.monitor.state(),
-                    live_faults: self.shard.truth.len() as u64,
-                    cache: cache.filter(|_| want_telem_cache),
-                });
+                telem.end_cycle(&view);
             }
             if profiling_on {
-                prof.cycle_sample(&ProfSample {
-                    cycle,
-                    injected: cycle_injected,
-                    moved: cycle_moved,
-                    in_flight: self.in_flight,
-                    class_queued,
-                    class_occupied,
-                    cache: cache.filter(|_| want_prof_cache),
-                });
+                prof.cycle_sample(&view);
             }
             if let Some(ex) = ex {
                 self.shard.barrier_wait(ex); // Round D: folded and sampled.
@@ -1700,19 +1700,14 @@ impl Coordinator {
     /// Rounds B and C: exchange moves, then resolve every blocked head in
     /// service order against the coordinator's view — the one-shard
     /// interleaving of discovery, replan, and drop accounting — and
-    /// publish the rulings. Returns the profiler's `moved` count; leaves
-    /// the global in-flight count in `self.in_flight`.
-    fn exchange(&mut self, sim: &Simulator, ex: &Exchange, cycle: u64) -> u64 {
+    /// publish the rulings. Leaves the global in-flight count in
+    /// `self.in_flight`.
+    fn exchange(&mut self, sim: &Simulator, ex: &Exchange, cycle: u64) {
         let parity = (cycle & 1) as usize;
         let shard = &mut self.shard;
         shard.publish(ex, parity);
         shard.barrier_wait(ex); // Round B: all mailboxes published.
         let total_contrib = Exchange::total(&ex.contrib[parity]);
-        let moved = if shard.profiling_on {
-            Exchange::total(&ex.hops[parity])
-        } else {
-            0
-        };
         shard.receive(ex, parity);
         let mut verdict_drops = 0u64;
         if shard.dynamic && !shard.truth.is_empty() {
@@ -1741,24 +1736,31 @@ impl Coordinator {
             shard.apply_verdicts(ex, cycle);
         }
         self.in_flight = total_contrib - verdict_drops;
-        moved
     }
 
-    /// Round D, coordinator side: publish its own class slice, wait for
-    /// every worker's cell, then fold the deltas and class slices.
-    fn fold_round_d<T: TelemetrySink>(&mut self, ex: &Exchange, telem: &mut T) {
-        let (lo, hi) = self.shard.class_range;
-        self.global_cq[lo..hi].copy_from_slice(&self.shard.class_queued[lo..hi]);
-        self.global_co[lo..hi].copy_from_slice(&self.shard.class_occupied[lo..hi]);
-        self.shard.barrier_wait(ex); // Round D: all cells published.
-        for (cell, &(lo, hi)) in ex.telemetry.iter().zip(&self.ranges).skip(1) {
-            let cell = lock(cell);
-            if self.shard.telemetry_on {
-                telem.absorb_shard(&cell.delta);
+    /// Read the cycle's ledger difference: sum every shard's running
+    /// totals, subtract the baseline, and make the sum the next baseline.
+    /// Under the multi-shard schedule this is Round D's coordinator side:
+    /// it publishes its own class slice, waits for every worker's cell,
+    /// then folds the workers' totals and class slices.
+    fn read_ledger(&mut self, ex: Option<&Exchange>) {
+        let diff = &mut self.ledger_diff;
+        diff.clear();
+        self.shard.add_ledger(diff);
+        if let Some(ex) = ex {
+            let (lo, hi) = self.shard.class_range;
+            self.global_cq[lo..hi].copy_from_slice(&self.shard.class_queued[lo..hi]);
+            self.global_co[lo..hi].copy_from_slice(&self.shard.class_occupied[lo..hi]);
+            self.shard.barrier_wait(ex); // Round D: all cells published.
+            for (cell, &(lo, hi)) in ex.ledgers.iter().zip(&self.ranges).skip(1) {
+                let cell = lock(cell);
+                diff.add(&cell.totals);
+                self.global_cq[lo..hi].copy_from_slice(&cell.class_queued[lo..hi]);
+                self.global_co[lo..hi].copy_from_slice(&cell.class_occupied[lo..hi]);
             }
-            self.global_cq[lo..hi].copy_from_slice(&cell.class_queued[lo..hi]);
-            self.global_co[lo..hi].copy_from_slice(&cell.class_occupied[lo..hi]);
         }
+        diff.sub(&self.ledger_base);
+        self.ledger_base.add(diff);
     }
 
     /// Close out the run and build its report: call once, after
@@ -1771,9 +1773,13 @@ impl Coordinator {
         prof: &mut P,
     ) -> ChurnReport {
         if telem.enabled() {
+            // No cycle ran since the last view: the difference is empty.
+            self.ledger_diff.clear();
             let (class_queued, class_occupied) = self.class_snapshot();
-            telem.finish(CycleView {
+            telem.finish(&CycleView {
                 cycle: self.ended_at,
+                attempts: 0,
+                ledger: &self.ledger_diff,
                 class_queued,
                 class_occupied,
                 in_flight: self.in_flight,
@@ -1789,7 +1795,7 @@ impl Coordinator {
                     prof.shard_profile(s, &shard.profile);
                 }
             }
-            prof.finish_run(self.ended_at, self.shards);
+            prof.finish_run(self.shards);
         }
         metrics.cycles = self.ended_at - self.shard.warmup;
         metrics.in_flight_at_end = self.in_flight;

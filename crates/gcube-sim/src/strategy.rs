@@ -3,7 +3,7 @@
 use std::sync::{Arc, OnceLock};
 
 use gcube_routing::{
-    ffgcr, ftgcr, CacheStats, FaultSet, PlanCache, Route, RoutingError, Trajectory,
+    ffgcr, ftgcr, multitree, CacheStats, FaultSet, PlanCache, Route, RoutingError, Trajectory,
 };
 use gcube_topology::{GaussianCube, NodeId};
 use parking_lot::RwLock;
@@ -476,7 +476,9 @@ impl RoutingAlgorithm for MultiTreeStrategy {
 
 /// Build an owned strategy from its wire name — the inverse of
 /// [`RoutingAlgorithm::wire_spec`], shared by the daemon's `open` request
-/// and checkpoint restore. `trees` only matters for `"multitree"`.
+/// and checkpoint restore. `trees` only matters for `"multitree"`, which
+/// refuses a count outside `1..=`[`gcube_routing::multitree::MAX_TREES`]
+/// here rather than panic on its first plan.
 ///
 /// `"auto"` is rejected here on purpose: it resolves against a concrete
 /// config (fault count and schedule), so callers must resolve it before a
@@ -488,7 +490,13 @@ pub fn build_strategy(
     match name {
         "ffgcr" => Ok(Box::new(CachedFfgcr::new())),
         "ftgcr" => Ok(Box::new(CachedFtgcr::new())),
-        "multitree" => Ok(Box::new(MultiTreeStrategy::new(trees))),
+        "multitree" if (1..=multitree::MAX_TREES).contains(&trees) => {
+            Ok(Box::new(MultiTreeStrategy::new(trees)))
+        }
+        "multitree" => Err(format!(
+            "multitree takes 1..={} trees, got {trees}",
+            multitree::MAX_TREES
+        )),
         other => Err(format!(
             "unknown strategy {other:?} (expected ffgcr, ftgcr, or multitree)"
         )),

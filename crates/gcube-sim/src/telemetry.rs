@@ -14,13 +14,22 @@
 //! `enabled() == false` as a compile-time-foldable constant, so the
 //! telemetry-off engine monomorphisation contains no telemetry code at
 //! all (the benchmark's observer-free workloads time that path, and
-//! `observers.overhead_ratio` the observed one). [`TelemetryCollector`] is
-//! the real sink: it accumulates counters per sampling window
-//! ([`crate::config::SimConfig::telemetry_interval`] cycles) into a
-//! bounded ring of [`TelemetrySample`]s, exportable as CSV
+//! `observers.overhead_ratio` the observed one).
+//!
+//! Telemetry counts nothing itself. The engine's ledger is each shard's
+//! [`Metrics`](crate::metrics::Metrics) plus the three counts `Metrics`
+//! lacks (per-dimension hops, reroutes, stale views); once per cycle the
+//! coordinator sums the shards' running totals and hands both observers
+//! the difference from the previous cycle as a [`Tally`] inside the
+//! [`CycleView`]. [`TelemetryCollector`] is the real sink: it adds each
+//! cycle's difference into a window tally and a whole-run tally, closes a
+//! window every [`crate::config::SimConfig::telemetry_interval`] cycles
+//! into a bounded ring of [`TelemetrySample`]s, exportable as CSV
 //! ([`TelemetryCollector::to_csv`]) or JSONL
 //! ([`TelemetryCollector::to_jsonl`]) and summarised by
-//! [`TelemetryCollector::health_report`].
+//! [`TelemetryCollector::health_report`]. Only a health transition (which
+//! carries its from/to states) and a phase's wall-clock time reach the
+//! sink through hooks of their own.
 //!
 //! # The fault-budget monitor
 //!
@@ -85,12 +94,124 @@ impl Phase {
     }
 }
 
-/// The network state the engine exposes to the sink at the end of a cycle
-/// (and once more at the end of the run).
+/// The counts telemetry reads from the engine's ledger: the
+/// [`Metrics`](crate::metrics::Metrics) counters it exports, plus the
+/// three each shard keeps beside them (per-dimension hops, reroutes,
+/// stale views). One type serves as a cycle's network-wide difference in
+/// a [`CycleView`], as a collector's window tally and as its whole-run
+/// tally.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Tally {
+    /// Link traversals (`Metrics::forwarded_hops_total`).
+    pub forwarded_hops: u64,
+    /// Link traversals per dimension (`dim_hops[d]` counts hops over
+    /// dimension-`d` links); sums to `forwarded_hops`.
+    pub dim_hops: Vec<u64>,
+    /// Packets injected, collective wave packets included
+    /// (`Metrics::injected_total`).
+    pub injected: u64,
+    /// Packets delivered (`Metrics::delivered_total`).
+    pub delivered: u64,
+    /// Collective packets among `delivered`.
+    pub collective_delivered: u64,
+    /// Packets dropped, every cause (`Metrics::dropped_total`).
+    pub dropped: u64,
+    /// Packets re-planned in place.
+    pub reroutes: u64,
+    /// Stale-view exposures: planned hops that proved dead in the truth.
+    pub stale_views: u64,
+    /// Cycles the view spent lagging the truth.
+    pub stale_cycles: u64,
+    /// Fault events (failures and repairs) applied.
+    pub fault_events: u64,
+    /// View reconvergences.
+    pub reconvergences: u64,
+    /// Multitree tree switches across plans (zero for single-tree
+    /// strategies).
+    pub tree_switches: u64,
+    /// Plans that exhausted every tree and fell back to FTGCR.
+    pub tree_exhausted: u64,
+    /// Broadcast-tree regrafts (collective runs only).
+    pub tree_regrafts: u64,
+    /// Broadcast trees rebuilt from scratch.
+    pub tree_rebuilds: u64,
+}
+
+impl Tally {
+    /// A zeroed tally for an `n_dims`-dimensional cube.
+    pub fn new(n_dims: usize) -> Tally {
+        Tally {
+            dim_hops: vec![0; n_dims],
+            ..Tally::default()
+        }
+    }
+
+    /// Apply `op` to each of this tally's counts and `other`'s matching
+    /// count.
+    fn zip_with(&mut self, other: &Tally, op: impl Fn(&mut u64, u64)) {
+        for (a, &b) in self.dim_hops.iter_mut().zip(&other.dim_hops) {
+            op(a, b);
+        }
+        for (a, b) in [
+            (&mut self.forwarded_hops, other.forwarded_hops),
+            (&mut self.injected, other.injected),
+            (&mut self.delivered, other.delivered),
+            (&mut self.collective_delivered, other.collective_delivered),
+            (&mut self.dropped, other.dropped),
+            (&mut self.reroutes, other.reroutes),
+            (&mut self.stale_views, other.stale_views),
+            (&mut self.stale_cycles, other.stale_cycles),
+            (&mut self.fault_events, other.fault_events),
+            (&mut self.reconvergences, other.reconvergences),
+            (&mut self.tree_switches, other.tree_switches),
+            (&mut self.tree_exhausted, other.tree_exhausted),
+            (&mut self.tree_regrafts, other.tree_regrafts),
+            (&mut self.tree_rebuilds, other.tree_rebuilds),
+        ] {
+            op(a, b);
+        }
+    }
+
+    /// Add `other`'s counts to these.
+    pub fn add(&mut self, other: &Tally) {
+        self.zip_with(other, |a, b| *a += b);
+    }
+
+    /// Subtract `other`'s counts from these: `other` is an earlier reading
+    /// of the same ledger, so no count underflows.
+    pub fn sub(&mut self, other: &Tally) {
+        self.zip_with(other, |a, b| *a -= b);
+    }
+
+    /// Zero every count, keeping the dimension buffer.
+    pub fn clear(&mut self) {
+        let mut dim_hops = mem::take(&mut self.dim_hops);
+        dim_hops.fill(0);
+        *self = Tally {
+            dim_hops,
+            ..Tally::default()
+        };
+    }
+}
+
+/// The network state the engine hands both observers at the end of every
+/// cycle ([`TelemetrySink::end_cycle`], [`ProfilerSink::cycle_sample`]),
+/// and telemetry once more at the end of the run.
+///
+/// [`ProfilerSink::cycle_sample`]: crate::profiler::ProfilerSink::cycle_sample
 pub struct CycleView<'a> {
     /// The cycle just completed (for [`TelemetrySink::finish`]: the cycle
     /// the run ended at).
     pub cycle: u64,
+    /// Injection attempts drawn this cycle, network-wide. They are
+    /// counted at packet-id assignment (suppressed draws get no id), so
+    /// every shard draws the same count at any thread count.
+    pub attempts: u64,
+    /// The cycle's network-wide ledger difference: every shard's running
+    /// totals summed, minus the same sum at the end of the previous
+    /// observed cycle (or at the checkpoint the run was restored from).
+    /// Empty in the view [`TelemetrySink::finish`] receives.
+    pub ledger: &'a Tally,
     /// Packets queued per ending class `EC(k)`, indexed by class. The
     /// engine maintains these incrementally on every queue push/pop, so
     /// exposing them is O(2^α) per sample — never a scan over the nodes.
@@ -103,9 +224,13 @@ pub struct CycleView<'a> {
     pub health: HealthState,
     /// Live faulty components (nodes + links) in the ground truth.
     pub live_faults: u64,
-    /// Plan-cache counters, fetched by the engine only when
-    /// [`TelemetrySink::wants_sample`] said this cycle closes a window
-    /// (snapshotting takes a lock — not a per-cycle cost).
+    /// Plan-cache counters, fetched by the engine only on a cycle that
+    /// closes an observer's window ([`TelemetrySink::wants_sample`],
+    /// [`ProfilerSink::wants_cache`]); snapshotting takes a lock, so it is
+    /// not a per-cycle cost. Each observer reads them only on its own
+    /// window-closing cycles.
+    ///
+    /// [`ProfilerSink::wants_cache`]: crate::profiler::ProfilerSink::wants_cache
     pub cache: Option<CacheStats>,
 }
 
@@ -130,25 +255,6 @@ pub trait TelemetrySink {
         false
     }
 
-    /// A cached broadcast tree was repaired against a new fault
-    /// generation: regrafted in place, or — when `rebuilt` — rebuilt from
-    /// scratch because no cached tree for the root existed. Called by the
-    /// coordinator, exactly once per repair.
-    #[inline]
-    fn tree_repair(&mut self, _rebuilt: bool) {}
-
-    /// A cycle passed with the routing view lagging the truth.
-    #[inline]
-    fn stale_cycle(&mut self) {}
-
-    /// `applied` fault events (failures/repairs) hit the network.
-    #[inline]
-    fn fault_events(&mut self, _applied: u64) {}
-
-    /// The routing view re-converged onto the ground truth.
-    #[inline]
-    fn reconvergence(&mut self) {}
-
     /// The fault-budget monitor changed state.
     #[inline]
     fn health_transition(&mut self, _cycle: u64, _from: HealthState, _to: HealthState) {}
@@ -158,19 +264,14 @@ pub trait TelemetrySink {
     #[inline]
     fn phase_time(&mut self, _phase: Phase, _nanos: u64) {}
 
-    /// Fold in one shard's per-cycle delta. The coordinator absorbs every
-    /// shard's delta before `end_cycle`, so window sums are the same for
-    /// every thread count.
+    /// A cycle completed; `view` describes the network at its end and
+    /// carries the cycle's ledger difference.
     #[inline]
-    fn absorb_shard(&mut self, _delta: &ShardTelemetry) {}
-
-    /// A cycle completed; `view` describes the network at its end.
-    #[inline]
-    fn end_cycle(&mut self, _view: CycleView<'_>) {}
+    fn end_cycle(&mut self, _view: &CycleView<'_>) {}
 
     /// The run completed; close any partial sampling window.
     #[inline]
-    fn finish(&mut self, _view: CycleView<'_>) {}
+    fn finish(&mut self, _view: &CycleView<'_>) {}
 }
 
 /// The telemetry-off sink: `enabled()` is a constant `false` and every
@@ -186,65 +287,6 @@ impl TelemetrySink for NullTelemetry {
     }
 }
 
-/// One shard's telemetry counters for one cycle, folded into the sink via
-/// [`TelemetrySink::absorb_shard`] before `end_cycle`. Carries every
-/// per-packet counter; the network-global ones (fault events, health,
-/// reconvergence, tree repairs) reach the sink through the hooks.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ShardTelemetry {
-    /// Link traversals per dimension this cycle.
-    pub dim_hops: Vec<u64>,
-    /// Packets injected by this shard's nodes this cycle.
-    pub injected: u64,
-    /// Packets delivered to this shard's nodes this cycle.
-    pub delivered: u64,
-    /// Collective packets among `delivered` (broadcast/multicast/gather
-    /// wave members sunk at this shard's nodes this cycle).
-    pub collective_delivered: u64,
-    /// Packets this shard dropped this cycle (stranding, TTL, and — for
-    /// the coordinator, which resolves recovery — recovery drops).
-    pub dropped: u64,
-    /// Tree switches across this shard's plans this cycle (multitree
-    /// strategies only).
-    pub tree_switches: u64,
-    /// Plans that exhausted every tree and fell back to FTGCR.
-    pub tree_exhausted: u64,
-    /// Packets re-planned in place this cycle (coordinator only).
-    pub reroutes: u64,
-    /// Planned hops that proved dead in the ground truth this cycle
-    /// (coordinator only).
-    pub stale_views: u64,
-}
-
-impl ShardTelemetry {
-    /// A zeroed delta for an `n_dims`-dimensional cube.
-    pub fn new(n_dims: usize) -> ShardTelemetry {
-        ShardTelemetry {
-            dim_hops: vec![0; n_dims],
-            ..ShardTelemetry::default()
-        }
-    }
-
-    /// Zero every counter for the next cycle.
-    pub fn reset(&mut self) {
-        let mut dim_hops = mem::take(&mut self.dim_hops);
-        dim_hops.fill(0);
-        *self = ShardTelemetry {
-            dim_hops,
-            ..ShardTelemetry::default()
-        };
-    }
-
-    /// Copy `other`'s counters into this pre-sized delta without
-    /// allocating (shards publish into reusable exchange cells; a `clone`
-    /// per cycle would churn the `dim_hops` buffer).
-    pub fn copy_from(&mut self, other: &ShardTelemetry) {
-        let mut dim_hops = mem::take(&mut self.dim_hops);
-        dim_hops.copy_from_slice(&other.dim_hops);
-        *self = ShardTelemetry { dim_hops, ..*other };
-    }
-}
-
 /// Forwarding impl so the engine internals can borrow a caller-owned sink
 /// (`SimSession` holds `&mut` sinks across both schedules).
 impl<T: TelemetrySink + ?Sized> TelemetrySink for &mut T {
@@ -257,22 +299,6 @@ impl<T: TelemetrySink + ?Sized> TelemetrySink for &mut T {
         (**self).wants_sample(cycle)
     }
     #[inline]
-    fn tree_repair(&mut self, rebuilt: bool) {
-        (**self).tree_repair(rebuilt)
-    }
-    #[inline]
-    fn stale_cycle(&mut self) {
-        (**self).stale_cycle()
-    }
-    #[inline]
-    fn fault_events(&mut self, applied: u64) {
-        (**self).fault_events(applied)
-    }
-    #[inline]
-    fn reconvergence(&mut self) {
-        (**self).reconvergence()
-    }
-    #[inline]
     fn health_transition(&mut self, cycle: u64, from: HealthState, to: HealthState) {
         (**self).health_transition(cycle, from, to)
     }
@@ -281,15 +307,11 @@ impl<T: TelemetrySink + ?Sized> TelemetrySink for &mut T {
         (**self).phase_time(phase, nanos)
     }
     #[inline]
-    fn absorb_shard(&mut self, delta: &ShardTelemetry) {
-        (**self).absorb_shard(delta)
-    }
-    #[inline]
-    fn end_cycle(&mut self, view: CycleView<'_>) {
+    fn end_cycle(&mut self, view: &CycleView<'_>) {
         (**self).end_cycle(view)
     }
     #[inline]
-    fn finish(&mut self, view: CycleView<'_>) {
+    fn finish(&mut self, view: &CycleView<'_>) {
         (**self).finish(view)
     }
 }
@@ -397,44 +419,14 @@ pub struct TelemetrySample {
     pub start: u64,
     /// Last cycle of the window (exclusive).
     pub end: u64,
-    /// Link traversals per dimension during the window (`dim_hops[d]`
-    /// counts hops over dimension-`d` links).
-    pub dim_hops: Vec<u64>,
+    /// The ledger's counts over the window.
+    pub counts: Tally,
     /// Packets queued per ending class `EC(k)` at the window's end.
     pub class_queued: Vec<u64>,
     /// Nodes per ending class with a non-empty queue at the window's end.
     pub class_occupied: Vec<u64>,
     /// Packets in flight at the window's end.
     pub in_flight: u64,
-    /// Packets injected during the window.
-    pub injected: u64,
-    /// Packets delivered during the window.
-    pub delivered: u64,
-    /// Collective packets among `delivered` during the window.
-    pub collective_delivered: u64,
-    /// Packets dropped during the window.
-    pub dropped: u64,
-    /// Local re-plans during the window.
-    pub reroutes: u64,
-    /// Stale-view exposures (planned hop dead in the truth) during the
-    /// window.
-    pub stale_views: u64,
-    /// Cycles of the window the view spent lagging the truth.
-    pub stale_cycles: u64,
-    /// Fault events (failures and repairs) applied during the window.
-    pub fault_events: u64,
-    /// View reconvergences during the window.
-    pub reconvergences: u64,
-    /// Multitree tree switches across plans made during the window (zero
-    /// for single-tree strategies).
-    pub tree_switches: u64,
-    /// Plans during the window that exhausted every tree and fell back to
-    /// FTGCR.
-    pub tree_exhausted: u64,
-    /// Broadcast-tree regrafts during the window (collective runs only).
-    pub tree_regrafts: u64,
-    /// Broadcast trees rebuilt from scratch during the window.
-    pub tree_rebuilds: u64,
     /// Plan-cache counters: hits/misses are deltas over the window,
     /// entries is the absolute size at the window's end. `None` when the
     /// strategy has no cache (or it is still unused).
@@ -445,85 +437,28 @@ pub struct TelemetrySample {
     pub live_faults: u64,
 }
 
-impl TelemetrySample {
-    /// Total link traversals in the window (sum over dimensions).
-    pub fn forwarded_hops(&self) -> u64 {
-        self.dim_hops.iter().sum()
-    }
-}
-
-/// Pending-window accumulators, zeroed at each window boundary.
-#[derive(Clone, Debug, Default)]
-struct WindowAcc {
-    dim_hops: Vec<u64>,
-    injected: u64,
-    delivered: u64,
-    collective_delivered: u64,
-    dropped: u64,
-    reroutes: u64,
-    stale_views: u64,
-    stale_cycles: u64,
-    fault_events: u64,
-    reconvergences: u64,
-    tree_switches: u64,
-    tree_exhausted: u64,
-    tree_regrafts: u64,
-    tree_rebuilds: u64,
-}
-
-impl WindowAcc {
-    fn reset(&mut self) {
-        self.dim_hops.iter_mut().for_each(|h| *h = 0);
-        self.injected = 0;
-        self.delivered = 0;
-        self.collective_delivered = 0;
-        self.dropped = 0;
-        self.reroutes = 0;
-        self.stale_views = 0;
-        self.stale_cycles = 0;
-        self.fault_events = 0;
-        self.reconvergences = 0;
-        self.tree_switches = 0;
-        self.tree_exhausted = 0;
-        self.tree_regrafts = 0;
-        self.tree_rebuilds = 0;
-    }
-}
-
 /// Default ring capacity: at most this many samples are retained; older
 /// ones are evicted (and counted in [`TelemetryCollector::evicted`]).
 pub const DEFAULT_RING_CAPACITY: usize = 4096;
 
-/// The real telemetry sink: accumulates the per-cycle hooks into
-/// fixed-width sampling windows held in a bounded ring, alongside
-/// whole-run totals (which survive ring eviction, so reconciliation
+/// The real telemetry sink: adds each cycle's ledger difference into
+/// fixed-width sampling windows held in a bounded ring, and into a
+/// whole-run tally that survives ring eviction, so reconciliation
 /// against the [`Metrics`](crate::metrics::Metrics) ledger is exact
-/// regardless of ring size).
+/// regardless of ring size.
 #[derive(Clone, Debug)]
 pub struct TelemetryCollector {
-    n_dims: usize,
     num_classes: usize,
     interval: u64,
     capacity: usize,
     samples: VecDeque<TelemetrySample>,
     evicted: u64,
-    window_start: u64,
-    acc: WindowAcc,
-    // Whole-run totals (never evicted).
-    dim_hops_total: Vec<u64>,
-    injected_total: u64,
-    delivered_total: u64,
-    collective_delivered_total: u64,
-    dropped_total: u64,
-    reroutes_total: u64,
-    stale_views_total: u64,
-    stale_cycles_total: u64,
-    fault_events_total: u64,
-    reconvergences_total: u64,
-    tree_switches_total: u64,
-    tree_exhausted_total: u64,
-    tree_regrafts_total: u64,
-    tree_rebuilds_total: u64,
+    /// First cycle of the open window; `None` until the first observed
+    /// cycle, so a collector attached to a restored run starts its first
+    /// window at the checkpoint.
+    window_start: Option<u64>,
+    window: Tally,
+    total: Tally,
     last_cache: CacheStats,
     transitions: Vec<HealthTransition>,
     phase_nanos: [u64; NUM_PHASES],
@@ -542,33 +477,15 @@ impl TelemetryCollector {
     /// (clamped to ≥ 1).
     pub fn with_capacity(gc: &GaussianCube, interval: u64, capacity: usize) -> TelemetryCollector {
         let n_dims = gc.n() as usize;
-        let num_classes = 1usize << gc.alpha();
         TelemetryCollector {
-            n_dims,
-            num_classes,
+            num_classes: 1usize << gc.alpha(),
             interval: interval.max(1),
             capacity: capacity.max(1),
             samples: VecDeque::new(),
             evicted: 0,
-            window_start: 0,
-            acc: WindowAcc {
-                dim_hops: vec![0; n_dims],
-                ..WindowAcc::default()
-            },
-            dim_hops_total: vec![0; n_dims],
-            injected_total: 0,
-            delivered_total: 0,
-            collective_delivered_total: 0,
-            dropped_total: 0,
-            reroutes_total: 0,
-            stale_views_total: 0,
-            stale_cycles_total: 0,
-            fault_events_total: 0,
-            reconvergences_total: 0,
-            tree_switches_total: 0,
-            tree_exhausted_total: 0,
-            tree_regrafts_total: 0,
-            tree_rebuilds_total: 0,
+            window_start: None,
+            window: Tally::new(n_dims),
+            total: Tally::new(n_dims),
             last_cache: CacheStats::default(),
             transitions: Vec::new(),
             phase_nanos: [0; NUM_PHASES],
@@ -597,52 +514,10 @@ impl TelemetryCollector {
         self.evicted
     }
 
-    /// Whole-run link traversals per dimension (survives ring eviction).
-    pub fn dim_hops_total(&self) -> &[u64] {
-        &self.dim_hops_total
-    }
-
-    /// Whole-run link traversals, all dimensions.
-    pub fn forwarded_hops_total(&self) -> u64 {
-        self.dim_hops_total.iter().sum()
-    }
-
-    /// Whole-run totals `(injected, delivered, dropped)`.
-    pub fn packet_totals(&self) -> (u64, u64, u64) {
-        (
-            self.injected_total,
-            self.delivered_total,
-            self.dropped_total,
-        )
-    }
-
-    /// Whole-run totals `(reroutes, stale_views, stale_cycles,
-    /// fault_events, reconvergences)`.
-    pub fn churn_totals(&self) -> (u64, u64, u64, u64, u64) {
-        (
-            self.reroutes_total,
-            self.stale_views_total,
-            self.stale_cycles_total,
-            self.fault_events_total,
-            self.reconvergences_total,
-        )
-    }
-
-    /// Whole-run totals `(tree_switches, tree_exhausted)` — multitree
-    /// strategies only; both zero otherwise.
-    pub fn tree_totals(&self) -> (u64, u64) {
-        (self.tree_switches_total, self.tree_exhausted_total)
-    }
-
-    /// Whole-run collective deliveries (zero for unicast-only runs).
-    pub fn collective_delivered_total(&self) -> u64 {
-        self.collective_delivered_total
-    }
-
-    /// Whole-run broadcast-tree repairs `(regrafts, rebuilds)` —
-    /// collective runs only; both zero otherwise.
-    pub fn tree_repair_totals(&self) -> (u64, u64) {
-        (self.tree_regrafts_total, self.tree_rebuilds_total)
+    /// The ledger's counts over every observed cycle (survives ring
+    /// eviction).
+    pub fn totals(&self) -> &Tally {
+        &self.total
     }
 
     /// Recorded health transitions, in order.
@@ -658,8 +533,6 @@ impl TelemetryCollector {
 
     fn close_window(&mut self, view: &CycleView<'_>, end: u64) {
         debug_assert_eq!(view.class_queued.len(), self.num_classes);
-        let class_queued = view.class_queued.to_vec();
-        let class_occupied = view.class_occupied.to_vec();
         let cache = view.cache.map(|now| {
             let delta = CacheStats {
                 hits: now.hits - self.last_cache.hits,
@@ -670,25 +543,12 @@ impl TelemetryCollector {
             delta
         });
         let sample = TelemetrySample {
-            start: self.window_start,
+            start: self.window_start.replace(end).unwrap_or(end),
             end,
-            dim_hops: self.acc.dim_hops.clone(),
-            class_queued,
-            class_occupied,
+            counts: self.window.clone(),
+            class_queued: view.class_queued.to_vec(),
+            class_occupied: view.class_occupied.to_vec(),
             in_flight: view.in_flight,
-            injected: self.acc.injected,
-            delivered: self.acc.delivered,
-            collective_delivered: self.acc.collective_delivered,
-            dropped: self.acc.dropped,
-            reroutes: self.acc.reroutes,
-            stale_views: self.acc.stale_views,
-            stale_cycles: self.acc.stale_cycles,
-            fault_events: self.acc.fault_events,
-            reconvergences: self.acc.reconvergences,
-            tree_switches: self.acc.tree_switches,
-            tree_exhausted: self.acc.tree_exhausted,
-            tree_regrafts: self.acc.tree_regrafts,
-            tree_rebuilds: self.acc.tree_rebuilds,
             cache,
             health: view.health,
             live_faults: view.live_faults,
@@ -698,8 +558,7 @@ impl TelemetryCollector {
             self.evicted += 1;
         }
         self.samples.push_back(sample);
-        self.acc.reset();
-        self.window_start = end;
+        self.window.clear();
     }
 
     /// CSV export: one header line, one row per retained sample. Pure
@@ -713,7 +572,7 @@ impl TelemetryCollector {
              tree_exhausted,collective_delivered,tree_regrafts,tree_rebuilds,health,\
              live_faults,cache_hits,cache_misses,cache_entries",
         );
-        for d in 0..self.n_dims {
+        for d in 0..self.total.dim_hops.len() {
             let _ = write!(out, ",dim{d}_hops");
         }
         for k in 0..self.num_classes {
@@ -724,26 +583,27 @@ impl TelemetryCollector {
         }
         out.push('\n');
         for s in &self.samples {
+            let c = &s.counts;
             let _ = write!(
                 out,
                 "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
                 s.start,
                 s.end,
                 s.in_flight,
-                s.injected,
-                s.delivered,
-                s.dropped,
-                s.forwarded_hops(),
-                s.reroutes,
-                s.stale_views,
-                s.stale_cycles,
-                s.fault_events,
-                s.reconvergences,
-                s.tree_switches,
-                s.tree_exhausted,
-                s.collective_delivered,
-                s.tree_regrafts,
-                s.tree_rebuilds,
+                c.injected,
+                c.delivered,
+                c.dropped,
+                c.forwarded_hops,
+                c.reroutes,
+                c.stale_views,
+                c.stale_cycles,
+                c.fault_events,
+                c.reconvergences,
+                c.tree_switches,
+                c.tree_exhausted,
+                c.collective_delivered,
+                c.tree_regrafts,
+                c.tree_rebuilds,
                 s.health.as_str(),
                 s.live_faults,
             );
@@ -753,7 +613,7 @@ impl TelemetryCollector {
                 }
                 None => out.push_str(",,,"),
             }
-            for h in &s.dim_hops {
+            for h in &c.dim_hops {
                 let _ = write!(out, ",{h}");
             }
             for q in &s.class_queued {
@@ -772,6 +632,7 @@ impl TelemetryCollector {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for s in &self.samples {
+            let c = &s.counts;
             let _ = write!(
                 out,
                 "{{\"start\":{},\"end\":{},\"in_flight\":{},\"injected\":{},\
@@ -783,29 +644,29 @@ impl TelemetryCollector {
                 s.start,
                 s.end,
                 s.in_flight,
-                s.injected,
-                s.delivered,
-                s.dropped,
-                s.forwarded_hops(),
-                s.reroutes,
-                s.stale_views,
-                s.stale_cycles,
-                s.fault_events,
-                s.reconvergences,
-                s.tree_switches,
-                s.tree_exhausted,
-                s.collective_delivered,
-                s.tree_regrafts,
-                s.tree_rebuilds,
+                c.injected,
+                c.delivered,
+                c.dropped,
+                c.forwarded_hops,
+                c.reroutes,
+                c.stale_views,
+                c.stale_cycles,
+                c.fault_events,
+                c.reconvergences,
+                c.tree_switches,
+                c.tree_exhausted,
+                c.collective_delivered,
+                c.tree_regrafts,
+                c.tree_rebuilds,
                 s.health.as_str(),
                 s.live_faults,
             );
             match s.cache {
-                Some(c) => {
+                Some(cache) => {
                     let _ = write!(
                         out,
                         ",\"cache_hits\":{},\"cache_misses\":{},\"cache_entries\":{}",
-                        c.hits, c.misses, c.entries
+                        cache.hits, cache.misses, cache.entries
                     );
                 }
                 None => out
@@ -820,7 +681,7 @@ impl TelemetryCollector {
             let _ = write!(
                 out,
                 ",\"dim_hops\":[{}],\"class_queued\":[{}],\"class_occupied\":[{}]}}",
-                join(&s.dim_hops),
+                join(&c.dim_hops),
                 join(&s.class_queued),
                 join(&s.class_occupied)
             );
@@ -846,6 +707,7 @@ impl TelemetryCollector {
         budget: &FaultBudget,
         trees: Option<&[gcube_routing::multitree::TreeHealth]>,
     ) -> String {
+        let t = &self.total;
         let mut out = String::new();
         let _ = writeln!(out, "=== network health report ===");
         let _ = writeln!(
@@ -859,29 +721,24 @@ impl TelemetryCollector {
         let _ = writeln!(
             out,
             "packets: injected {}, delivered {}, dropped {}",
-            self.injected_total, self.delivered_total, self.dropped_total
+            t.injected, t.delivered, t.dropped
         );
         let _ = writeln!(
             out,
             "churn: {} fault events, {} stale-view exposures over {} stale cycles, \
              {} reroutes, {} reconvergences",
-            self.fault_events_total,
-            self.stale_views_total,
-            self.stale_cycles_total,
-            self.reroutes_total,
-            self.reconvergences_total
+            t.fault_events, t.stale_views, t.stale_cycles, t.reroutes, t.reconvergences
         );
-        if self.collective_delivered_total + self.tree_regrafts_total + self.tree_rebuilds_total > 0
-        {
+        if t.collective_delivered + t.tree_regrafts + t.tree_rebuilds > 0 {
             let _ = writeln!(
                 out,
                 "collectives: {} wave packets delivered, {} tree regrafts, {} rebuilds",
-                self.collective_delivered_total, self.tree_regrafts_total, self.tree_rebuilds_total
+                t.collective_delivered, t.tree_regrafts, t.tree_rebuilds
             );
         }
-        let total_hops = self.forwarded_hops_total();
+        let total_hops = t.forwarded_hops;
         let _ = writeln!(out, "link utilization ({total_hops} hops total):");
-        for (d, &h) in self.dim_hops_total.iter().enumerate() {
+        for (d, &h) in t.dim_hops.iter().enumerate() {
             let pct = if total_hops == 0 {
                 0.0
             } else {
@@ -930,21 +787,21 @@ impl TelemetryCollector {
             let _ = writeln!(
                 out,
                 "plans: {} tree switches, {} tree-exhausted FTGCR fallbacks",
-                self.tree_switches_total, self.tree_exhausted_total
+                t.tree_switches, t.tree_exhausted
             );
-            for t in trees {
-                if t.clean {
-                    let _ = writeln!(out, "  tree {}: intact (no matching faults)", t.tree);
+            for tree in trees {
+                if tree.clean {
+                    let _ = writeln!(out, "  tree {}: intact (no matching faults)", tree.tree);
                 } else {
                     let _ = writeln!(
                         out,
                         "  tree {}: threatened ({} matching fault links, {} fault nodes)",
-                        t.tree, t.matching_fault_links, t.fault_nodes
+                        tree.tree, tree.matching_fault_links, tree.fault_nodes
                     );
                 }
             }
             if !budget.precondition_paper {
-                let intact = trees.iter().filter(|t| t.clean).count();
+                let intact = trees.iter().filter(|tree| tree.clean).count();
                 let _ = writeln!(
                     out,
                     "Theorem-3 precondition void, but {intact} of {} trees intact and the \
@@ -957,13 +814,13 @@ impl TelemetryCollector {
             let _ = writeln!(out, "health transitions: none");
         } else {
             let _ = writeln!(out, "health transitions:");
-            for t in &self.transitions {
+            for tr in &self.transitions {
                 let _ = writeln!(
                     out,
                     "  cycle {:>8}: {} -> {}",
-                    t.cycle,
-                    t.from.as_str(),
-                    t.to.as_str()
+                    tr.cycle,
+                    tr.from.as_str(),
+                    tr.to.as_str()
                 );
             }
         }
@@ -988,35 +845,6 @@ impl TelemetrySink for TelemetryCollector {
         (cycle + 1).is_multiple_of(self.interval)
     }
 
-    #[inline]
-    fn tree_repair(&mut self, rebuilt: bool) {
-        if rebuilt {
-            self.acc.tree_rebuilds += 1;
-            self.tree_rebuilds_total += 1;
-        } else {
-            self.acc.tree_regrafts += 1;
-            self.tree_regrafts_total += 1;
-        }
-    }
-
-    #[inline]
-    fn stale_cycle(&mut self) {
-        self.acc.stale_cycles += 1;
-        self.stale_cycles_total += 1;
-    }
-
-    #[inline]
-    fn fault_events(&mut self, applied: u64) {
-        self.acc.fault_events += applied;
-        self.fault_events_total += applied;
-    }
-
-    #[inline]
-    fn reconvergence(&mut self) {
-        self.acc.reconvergences += 1;
-        self.reconvergences_total += 1;
-    }
-
     fn health_transition(&mut self, cycle: u64, from: HealthState, to: HealthState) {
         self.transitions.push(HealthTransition { cycle, from, to });
     }
@@ -1026,41 +854,21 @@ impl TelemetrySink for TelemetryCollector {
         self.phase_nanos[phase as usize] += nanos;
     }
 
-    fn absorb_shard(&mut self, delta: &ShardTelemetry) {
-        for (d, &h) in delta.dim_hops.iter().enumerate() {
-            self.acc.dim_hops[d] += h;
-            self.dim_hops_total[d] += h;
-        }
-        self.acc.injected += delta.injected;
-        self.injected_total += delta.injected;
-        self.acc.delivered += delta.delivered;
-        self.delivered_total += delta.delivered;
-        self.acc.collective_delivered += delta.collective_delivered;
-        self.collective_delivered_total += delta.collective_delivered;
-        self.acc.dropped += delta.dropped;
-        self.dropped_total += delta.dropped;
-        self.acc.tree_switches += delta.tree_switches;
-        self.tree_switches_total += delta.tree_switches;
-        self.acc.tree_exhausted += delta.tree_exhausted;
-        self.tree_exhausted_total += delta.tree_exhausted;
-        self.acc.reroutes += delta.reroutes;
-        self.reroutes_total += delta.reroutes;
-        self.acc.stale_views += delta.stale_views;
-        self.stale_views_total += delta.stale_views;
-    }
-
-    fn end_cycle(&mut self, view: CycleView<'_>) {
+    fn end_cycle(&mut self, view: &CycleView<'_>) {
+        self.window_start.get_or_insert(view.cycle);
+        self.window.add(view.ledger);
+        self.total.add(view.ledger);
         if self.wants_sample(view.cycle) {
-            self.close_window(&view, view.cycle + 1);
+            self.close_window(view, view.cycle + 1);
         }
     }
 
-    fn finish(&mut self, view: CycleView<'_>) {
+    fn finish(&mut self, view: &CycleView<'_>) {
         self.ended_at = view.cycle;
-        if view.cycle > self.window_start {
+        if self.window_start.is_some_and(|start| view.cycle > start) {
             // A partial window remains (the run ended mid-interval, or
             // drained early): close it so its counters are not lost.
-            self.close_window(&view, view.cycle);
+            self.close_window(view, view.cycle);
         }
     }
 }
@@ -1073,14 +881,16 @@ mod tests {
         GaussianCube::new(6, 4).unwrap() // α = 2: 4 ending classes
     }
 
-    /// Feed one cycle's hops (one per listed dimension) and injections.
-    fn feed(c: &mut TelemetryCollector, g: &GaussianCube, dims: &[u32], injected: u64) {
-        let mut delta = ShardTelemetry::new(g.n() as usize);
+    /// One cycle's ledger difference: one hop per listed dimension, and
+    /// `injected` injections.
+    fn tally(g: &GaussianCube, dims: &[u32], injected: u64) -> Tally {
+        let mut t = Tally::new(g.n() as usize);
         for &d in dims {
-            delta.dim_hops[d as usize] += 1;
+            t.dim_hops[d as usize] += 1;
+            t.forwarded_hops += 1;
         }
-        delta.injected = injected;
-        c.absorb_shard(&delta);
+        t.injected = injected;
+        t
     }
 
     /// Class-aggregate slices for a quiet network (all 4 classes empty).
@@ -1088,12 +898,15 @@ mod tests {
 
     fn view<'a>(
         cycle: u64,
+        ledger: &'a Tally,
         class_queued: &'a [u64],
         class_occupied: &'a [u64],
         health: HealthState,
     ) -> CycleView<'a> {
         CycleView {
             cycle,
+            attempts: ledger.injected,
+            ledger,
             class_queued,
             class_occupied,
             in_flight: class_queued.iter().sum(),
@@ -1107,57 +920,89 @@ mod tests {
     fn windows_close_on_interval_and_accumulate() {
         let g = gc();
         let mut c = TelemetryCollector::new(&g, 10);
+        let t = tally(&g, &[0, 3], 1);
         for cycle in 0..25u64 {
-            feed(&mut c, &g, &[0, 3], 1);
             assert_eq!(c.wants_sample(cycle), (cycle + 1) % 10 == 0);
-            c.end_cycle(view(cycle, &IDLE, &IDLE, HealthState::Healthy));
+            c.end_cycle(&view(cycle, &t, &IDLE, &IDLE, HealthState::Healthy));
         }
         // Two full windows closed; 5 cycles pending.
         assert_eq!(c.len(), 2);
-        c.finish(view(25, &IDLE, &IDLE, HealthState::Healthy));
+        let empty = Tally::new(g.n() as usize);
+        c.finish(&view(25, &empty, &IDLE, &IDLE, HealthState::Healthy));
         assert_eq!(c.len(), 3, "finish must close the partial window");
         let s: Vec<&TelemetrySample> = c.samples().collect();
         assert_eq!((s[0].start, s[0].end), (0, 10));
         assert_eq!((s[1].start, s[1].end), (10, 20));
         assert_eq!((s[2].start, s[2].end), (20, 25));
-        assert_eq!(s[0].injected, 10);
-        assert_eq!(s[2].injected, 5);
-        assert_eq!(s[0].dim_hops[0], 10);
-        assert_eq!(s[0].dim_hops[3], 10);
-        assert_eq!(s[0].forwarded_hops(), 20);
+        assert_eq!(s[0].counts.injected, 10);
+        assert_eq!(s[2].counts.injected, 5);
+        assert_eq!(s[0].counts.dim_hops[0], 10);
+        assert_eq!(s[0].counts.dim_hops[3], 10);
+        assert_eq!(s[0].counts.forwarded_hops, 20);
         // Totals reconcile with the per-window series.
-        assert_eq!(c.forwarded_hops_total(), 50);
+        assert_eq!(c.totals().forwarded_hops, 50);
         assert_eq!(
-            c.samples().map(|s| s.forwarded_hops()).sum::<u64>(),
-            c.forwarded_hops_total()
+            c.samples().map(|s| s.counts.forwarded_hops).sum::<u64>(),
+            c.totals().forwarded_hops
         );
-        assert_eq!(c.packet_totals(), (25, 0, 0));
+        assert_eq!(
+            (
+                c.totals().injected,
+                c.totals().delivered,
+                c.totals().dropped
+            ),
+            (25, 0, 0)
+        );
     }
 
     #[test]
     fn finish_without_pending_cycles_adds_no_window() {
         let g = gc();
         let mut c = TelemetryCollector::new(&g, 10);
+        let empty = Tally::new(g.n() as usize);
         for cycle in 0..10u64 {
-            c.end_cycle(view(cycle, &IDLE, &IDLE, HealthState::Healthy));
+            c.end_cycle(&view(cycle, &empty, &IDLE, &IDLE, HealthState::Healthy));
         }
         assert_eq!(c.len(), 1);
-        c.finish(view(10, &IDLE, &IDLE, HealthState::Healthy));
+        c.finish(&view(10, &empty, &IDLE, &IDLE, HealthState::Healthy));
         assert_eq!(c.len(), 1, "exactly one full window, no empty tail");
+        // A collector that observed no cycle closes no window either.
+        let mut idle = TelemetryCollector::new(&g, 10);
+        idle.finish(&view(10, &empty, &IDLE, &IDLE, HealthState::Healthy));
+        assert!(idle.is_empty());
+    }
+
+    /// A collector first attached at a later cycle (a restored run)
+    /// starts its first window there, not at cycle 0.
+    #[test]
+    fn first_window_starts_at_the_first_observed_cycle() {
+        let g = gc();
+        let mut c = TelemetryCollector::new(&g, 10);
+        let t = tally(&g, &[1], 1);
+        for cycle in 15..32u64 {
+            c.end_cycle(&view(cycle, &t, &IDLE, &IDLE, HealthState::Healthy));
+        }
+        let empty = Tally::new(g.n() as usize);
+        c.finish(&view(32, &empty, &IDLE, &IDLE, HealthState::Healthy));
+        let bounds: Vec<(u64, u64, u64)> = c
+            .samples()
+            .map(|s| (s.start, s.end, s.counts.injected))
+            .collect();
+        assert_eq!(bounds, vec![(15, 20, 5), (20, 30, 10), (30, 32, 2)]);
     }
 
     #[test]
     fn ring_evicts_oldest_but_totals_survive() {
         let g = gc();
         let mut c = TelemetryCollector::with_capacity(&g, 1, 4);
+        let t = tally(&g, &[1], 0);
         for cycle in 0..10u64 {
-            feed(&mut c, &g, &[1], 0);
-            c.end_cycle(view(cycle, &IDLE, &IDLE, HealthState::Healthy));
+            c.end_cycle(&view(cycle, &t, &IDLE, &IDLE, HealthState::Healthy));
         }
         assert_eq!(c.len(), 4);
         assert_eq!(c.evicted(), 6);
         assert_eq!(c.samples().next().unwrap().start, 6, "oldest retained");
-        assert_eq!(c.forwarded_hops_total(), 10, "totals ignore eviction");
+        assert_eq!(c.totals().forwarded_hops, 10, "totals ignore eviction");
     }
 
     #[test]
@@ -1169,8 +1014,10 @@ mod tests {
         let class_queued = [0u64, 3, 1, 0];
         let class_occupied = [0u64, 2, 1, 0];
         let mut c = TelemetryCollector::new(&g, 1);
-        c.end_cycle(view(
+        let empty = Tally::new(g.n() as usize);
+        c.end_cycle(&view(
             0,
+            &empty,
             &class_queued,
             &class_occupied,
             HealthState::Healthy,
@@ -1181,42 +1028,48 @@ mod tests {
         assert_eq!(s.in_flight, 4);
     }
 
+    /// A cycle's difference read as one tally or as the sum of per-shard
+    /// tallies closes the same window, and subtracting a reading undoes
+    /// adding it.
     #[test]
     fn absorbing_split_deltas_equals_one_delta() {
         let g = gc();
-        let mut merged = TelemetryCollector::new(&g, 1);
-        let mut split = TelemetryCollector::new(&g, 1);
-        let mut delta = ShardTelemetry::new(g.n() as usize);
+        let mut delta = Tally::new(g.n() as usize);
         delta.dim_hops[0] = 2;
         delta.dim_hops[4] = 1;
+        delta.forwarded_hops = 3;
         delta.injected = 3;
         delta.delivered = 2;
         delta.dropped = 1;
         delta.reroutes = 1;
         delta.stale_views = 2;
-        merged.absorb_shard(&delta);
-        let mut first = ShardTelemetry::new(g.n() as usize);
+        delta.tree_rebuilds = 1;
+        let mut first = Tally::new(g.n() as usize);
         first.dim_hops[0] = 2;
+        first.forwarded_hops = 2;
         first.injected = 3;
         first.stale_views = 2;
-        let mut second = ShardTelemetry::new(g.n() as usize);
-        second.copy_from(&delta);
-        second.dim_hops[0] = 0;
-        second.injected = 0;
-        second.stale_views = 0;
-        split.absorb_shard(&first);
-        split.absorb_shard(&second);
-        for c in [&mut merged, &mut split] {
-            c.end_cycle(view(0, &IDLE, &IDLE, HealthState::Healthy));
-        }
+        let mut second = delta.clone();
+        second.sub(&first);
+        assert_eq!(second.dim_hops[0], 0);
+        assert_eq!((second.forwarded_hops, second.injected), (1, 0));
+        let mut summed = Tally::new(g.n() as usize);
+        summed.add(&first);
+        summed.add(&second);
+        assert_eq!(summed, delta);
+        let mut merged = TelemetryCollector::new(&g, 1);
+        let mut split = TelemetryCollector::new(&g, 1);
+        merged.end_cycle(&view(0, &delta, &IDLE, &IDLE, HealthState::Healthy));
+        split.end_cycle(&view(0, &summed, &IDLE, &IDLE, HealthState::Healthy));
         assert_eq!(
             merged.samples().next().unwrap(),
             split.samples().next().unwrap()
         );
-        assert_eq!(merged.packet_totals(), (3, 2, 1));
-        assert_eq!(merged.forwarded_hops_total(), 3);
-        second.reset();
-        assert_eq!(second, ShardTelemetry::new(g.n() as usize));
+        let t = merged.totals();
+        assert_eq!((t.injected, t.delivered, t.dropped), (3, 2, 1));
+        assert_eq!((t.forwarded_hops, t.tree_rebuilds), (3, 1));
+        summed.clear();
+        assert_eq!(summed, Tally::new(g.n() as usize));
     }
 
     #[test]
@@ -1224,8 +1077,8 @@ mod tests {
         let g = gc();
         let mut c = TelemetryCollector::new(&g, 5);
         for cycle in 0..20u64 {
-            feed(&mut c, &g, &[(cycle % 6) as u32], 0);
-            c.end_cycle(view(cycle, &IDLE, &IDLE, HealthState::Healthy));
+            let t = tally(&g, &[(cycle % 6) as u32], 0);
+            c.end_cycle(&view(cycle, &t, &IDLE, &IDLE, HealthState::Healthy));
         }
         let csv = c.to_csv();
         let lines: Vec<&str> = csv.lines().collect();
@@ -1247,16 +1100,12 @@ mod tests {
     fn cache_deltas_are_per_window() {
         let g = gc();
         let mut c = TelemetryCollector::new(&g, 1);
+        let empty = Tally::new(g.n() as usize);
         let mk = |cycle: u64, cache: CacheStats| CycleView {
-            cycle,
-            class_queued: &IDLE,
-            class_occupied: &IDLE,
-            in_flight: 0,
-            health: HealthState::Healthy,
-            live_faults: 0,
             cache: Some(cache),
+            ..view(cycle, &empty, &IDLE, &IDLE, HealthState::Healthy)
         };
-        c.end_cycle(mk(
+        c.end_cycle(&mk(
             0,
             CacheStats {
                 hits: 10,
@@ -1264,7 +1113,7 @@ mod tests {
                 entries: 4,
             },
         ));
-        c.end_cycle(mk(
+        c.end_cycle(&mk(
             1,
             CacheStats {
                 hits: 25,
@@ -1330,13 +1179,14 @@ mod tests {
     fn health_report_renders() {
         let g = gc();
         let mut c = TelemetryCollector::new(&g, 10);
+        let t = tally(&g, &[2], 0);
         for cycle in 0..30u64 {
-            feed(&mut c, &g, &[2], 0);
-            c.end_cycle(view(cycle, &IDLE, &IDLE, HealthState::Healthy));
+            c.end_cycle(&view(cycle, &t, &IDLE, &IDLE, HealthState::Healthy));
         }
         c.health_transition(7, HealthState::Healthy, HealthState::Degraded);
         c.phase_time(Phase::Forwarding, 12_345);
-        c.finish(view(30, &IDLE, &IDLE, HealthState::Degraded));
+        let empty = Tally::new(g.n() as usize);
+        c.finish(&view(30, &empty, &IDLE, &IDLE, HealthState::Degraded));
         let budget = gcube_routing::fault_budget(&g, &FaultSet::new());
         let report = c.health_report(&budget);
         assert!(report.contains("network health report"));

@@ -7,8 +7,8 @@
 use gcube_routing::faults::{theorem3_precondition_paper, HealthState};
 use gcube_sim::telemetry::TelemetryCollector;
 use gcube_sim::{
-    verify_replay, CachedFtgcr, CategoryMix, FaultKind, FaultSchedule, FaultTarget, KnowledgeModel,
-    MemorySink, SimConfig, Simulator, TimedFault, TraceEventKind,
+    verify_replay, CachedFtgcr, CategoryMix, Checkpoint, FaultKind, FaultSchedule, FaultTarget,
+    KnowledgeModel, MemorySink, ProfileCollector, SimConfig, Simulator, TimedFault, TraceEventKind,
 };
 use gcube_topology::{GaussianCube, LinkId, NodeId};
 
@@ -41,37 +41,131 @@ fn telemetry_reconciles_with_the_metrics_ledger() {
     let report = sim.session().telemetry(&mut telem).run();
     let m = report.metrics;
 
+    let t = telem.totals();
     assert!(m.forwarded_hops_total > 0, "workload must forward packets");
-    assert_eq!(telem.forwarded_hops_total(), m.forwarded_hops_total);
+    assert_eq!(t.forwarded_hops, m.forwarded_hops_total);
+    assert_eq!(t.dim_hops.iter().sum::<u64>(), m.forwarded_hops_total);
     // The window series sums to the same total (no eviction here).
     assert_eq!(telem.evicted(), 0);
     assert_eq!(
-        telem.samples().map(|s| s.forwarded_hops()).sum::<u64>(),
+        telem
+            .samples()
+            .map(|s| s.counts.forwarded_hops)
+            .sum::<u64>(),
         m.forwarded_hops_total
     );
     // Per-dimension totals sum across windows too.
-    for (d, &total) in telem.dim_hops_total().iter().enumerate() {
+    for (d, &total) in t.dim_hops.iter().enumerate() {
         assert_eq!(
-            telem.samples().map(|s| s.dim_hops[d]).sum::<u64>(),
+            telem.samples().map(|s| s.counts.dim_hops[d]).sum::<u64>(),
             total,
             "dimension {d}"
         );
     }
     assert_eq!(
-        telem.packet_totals(),
+        (t.injected, t.delivered, t.dropped),
         (m.injected_total, m.delivered_total, m.dropped_total)
     );
-    let (reroutes, stale_views, stale_cycles, fault_events, reconvergences) = telem.churn_totals();
-    assert_eq!(stale_cycles, m.stale_cycles);
-    assert_eq!(fault_events, m.fault_events);
-    assert_eq!(reconvergences, m.reconvergences);
-    assert!(stale_views >= reroutes, "every reroute follows an exposure");
-    assert!(reroutes > 0, "churn under PaperDelay must force re-routes");
+    assert_eq!(t.stale_cycles, m.stale_cycles);
+    assert_eq!(t.fault_events, m.fault_events);
+    assert_eq!(t.reconvergences, m.reconvergences);
+    assert!(
+        t.stale_views >= t.reroutes,
+        "every reroute follows an exposure"
+    );
+    assert!(
+        t.reroutes > 0,
+        "churn under PaperDelay must force re-routes"
+    );
     // Health transitions recorded by the collector match the metric.
     assert_eq!(telem.transitions().len() as u64, m.health_transitions);
     // The last sample's in-flight count matches the end-of-run metric.
     let last = telem.samples().last().unwrap();
     assert_eq!(last.in_flight, m.in_flight_at_end);
+}
+
+/// Observers attached to a run restored from a checkpoint count only the
+/// cycles they observe, at every restoring thread count: the first
+/// telemetry window starts at the checkpoint, the telemetry totals are
+/// the final ledger minus the captured one, and the profile's cycle
+/// count and imbalance average cover the observed cycles alone.
+#[test]
+fn restored_run_observers_count_only_the_suffix() {
+    let pause = 175;
+    let cfg = SimConfig::new(8, 4)
+        .with_cycles(300, 3_000, 30)
+        .with_rate(0.05)
+        .with_seed(7)
+        .with_knowledge(KnowledgeModel::PaperDelay)
+        .with_telemetry_interval(50)
+        .with_schedule(FaultSchedule::Bernoulli {
+            rate: 0.03,
+            kind: FaultKind::Transient { repair_after: 60 },
+            mix: CategoryMix::default(),
+            node_fraction: 0.7,
+        });
+    let alg = CachedFtgcr::new();
+    let sim = Simulator::new(cfg.clone(), &alg);
+    let mut stepper = sim.session().stepper();
+    stepper.step_many(pause);
+    let text = stepper.checkpoint(0).expect("checkpoint mid-run").to_text();
+    // Finishing the paused run reports the ledger the checkpoint holds.
+    let captured = stepper.finish().metrics;
+    let ck = Checkpoint::from_text(&text).expect("checkpoint text round-trips");
+    let mut csv = None;
+    for threads in [1, 2, 4] {
+        let alg = CachedFtgcr::new();
+        let sim = Simulator::new(cfg.clone(), &alg);
+        let mut telem = TelemetryCollector::new(sim.cube(), 50);
+        let mut prof = ProfileCollector::new(1 << sim.cube().alpha(), 50);
+        let report = {
+            let mut stepper = sim
+                .session()
+                .threads(threads)
+                .telemetry(&mut telem)
+                .profile(&mut prof)
+                .stepper_from(&ck)
+                .expect("restore onto a matching simulator");
+            stepper.step_many(u64::MAX);
+            stepper.finish()
+        };
+        let m = report.metrics;
+        assert!(m.fault_events > captured.fault_events, "churn must fire");
+        let first = telem.samples().next().expect("windows close");
+        assert_eq!((first.start, first.end), (pause, 200), "threads={threads}");
+        let t = telem.totals();
+        assert_eq!(
+            (t.injected, t.delivered, t.dropped),
+            (
+                m.injected_total - captured.injected_total,
+                m.delivered_total - captured.delivered_total,
+                m.dropped_total - captured.dropped_total,
+            ),
+            "threads={threads}"
+        );
+        let hops = m.forwarded_hops_total - captured.forwarded_hops_total;
+        assert_eq!(t.forwarded_hops, hops, "threads={threads}");
+        assert_eq!(t.dim_hops.iter().sum::<u64>(), hops, "threads={threads}");
+        assert_eq!(
+            (t.fault_events, t.stale_cycles, t.reconvergences),
+            (
+                m.fault_events - captured.fault_events,
+                m.stale_cycles - captured.stale_cycles,
+                m.reconvergences - captured.reconvergences,
+            ),
+            "threads={threads}"
+        );
+        let ended_at = m.cycles + cfg.warmup_cycles;
+        assert_eq!(prof.cycles(), ended_at - pause, "threads={threads}");
+        assert_eq!(prof.moved_total(), hops, "threads={threads}");
+        assert!(
+            prof.imbalance_avg_milli() >= 1000,
+            "threads={threads}: {} is below the balanced floor",
+            prof.imbalance_avg_milli()
+        );
+        let this = telem.to_csv();
+        assert_eq!(csv.get_or_insert_with(|| this.clone()), &this);
+    }
 }
 
 /// Attaching a collector must not perturb the run: metrics, windows,
@@ -267,8 +361,8 @@ mod properties {
             let sim = Simulator::new(cfg, &alg);
             let mut telem = TelemetryCollector::new(sim.cube(), 40);
             let report = sim.session().telemetry(&mut telem).run();
-            let per_dim: u64 = telem.dim_hops_total().iter().sum();
-            prop_assert_eq!(per_dim, telem.forwarded_hops_total());
+            let per_dim: u64 = telem.totals().dim_hops.iter().sum();
+            prop_assert_eq!(per_dim, telem.totals().forwarded_hops);
             prop_assert_eq!(per_dim, report.metrics.forwarded_hops_total);
             // And the iff holds on whatever fault set the churn left.
             prop_assert_eq!(
